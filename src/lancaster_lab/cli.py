@@ -28,12 +28,12 @@ import tempfile
 from dataclasses import dataclass
 
 from .correlation import (
+    DEFAULT_MODEL_GRID,
     AceConvergenceError,
     SpectralFailureError,
     correlation_report,
     discretize_model,
     maxcorr_svd,
-    singular_spectrum,
 )
 from .fixtures import BENCH_FIXTURES, resolve_fixture
 from .lancaster import (
@@ -117,31 +117,19 @@ def _load_model_config(config: RunConfig) -> dict:
         return json.load(handle)
 
 
-def _resolve_model(config: RunConfig):
-    """A LancasterModel from --model, or from a model-backed fixture."""
+def _resolve(config: RunConfig):
+    """(fixture, model) from --fixture or --model; either is None when absent."""
     if config.model_path is not None and config.fixture is not None:
         raise ValueError("--model and --fixture are mutually exclusive")
     if config.model_path is not None:
-        return model_from_config(_load_model_config(config))
-    if config.fixture is not None:
-        fixture = resolve_fixture(config.fixture)
-        if fixture.model is None:
-            raise ValueError(
-                f"fixture {config.fixture!r} is not an expansion model; this command"
-                " needs --model or an fgm fixture"
-            )
-        return fixture.model
-    raise ValueError("one of --model or --fixture is required")
+        return None, model_from_config(_load_model_config(config))
+    if config.fixture is None:
+        raise ValueError("one of --model or --fixture is required")
+    fixture = resolve_fixture(config.fixture)
+    return fixture, fixture.model
 
 
-def _resolve_joint(config: RunConfig):
-    if config.model_path is not None and config.fixture is not None:
-        raise ValueError("--model and --fixture are mutually exclusive")
-    if config.fixture is not None:
-        fixture = resolve_fixture(config.fixture)
-        return fixture.joint(config.grid), fixture.model
-    model = model_from_config(_load_model_config(config))
-    return discretize_model(model, config.grid or 200), model
+_NOT_A_MODEL = "fixture {!r} is not an expansion model; this command needs --model or an fgm fixture"
 
 
 # -- subcommands -------------------------------------------------------------
@@ -247,8 +235,10 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
 
 
 def _cmd_report(config: RunConfig) -> int:
-    model = _resolve_model(config)
-    report = counterexample_report(model, grid=config.grid or 200, ace_tol=config.tol)
+    _, model = _resolve(config)
+    if model is None:
+        raise ValueError(_NOT_A_MODEL.format(config.fixture))
+    report = counterexample_report(model, grid=config.grid or DEFAULT_MODEL_GRID, ace_tol=config.tol)
     document = _report_document(report, model)
     if config.format == "json":
         _emit(config, _json_text(document))
@@ -263,8 +253,11 @@ def _sibling_path(path: str, tag: str) -> str:
 
 
 def _cmd_maxcorr(config: RunConfig) -> int:
-    joint, _ = _resolve_joint(config)
-    spectrum = singular_spectrum(joint)
+    fixture, model = _resolve(config)
+    if fixture is None:
+        joint = discretize_model(model, config.grid or DEFAULT_MODEL_GRID)
+    else:
+        joint = fixture.joint(config.grid)
     result = maxcorr_svd(joint)
     if config.format == "json":
         _emit(
@@ -272,14 +265,14 @@ def _cmd_maxcorr(config: RunConfig) -> int:
             _json_text(
                 {
                     "R": result.R,
-                    "spectrum": [float(s) for s in spectrum],
+                    "spectrum": [float(s) for s in result.spectrum],
                     "g1": [float(v) for v in result.g1_values],
                     "g2": [float(v) for v in result.g2_values],
                 }
             ),
         )
         return 0
-    spectrum_csv = _csv("index,value", ((i, _fmt(s)) for i, s in enumerate(spectrum)))
+    spectrum_csv = _csv("index,value", ((i, _fmt(s)) for i, s in enumerate(result.spectrum)))
     g1_csv = _csv("index,value", ((i, _fmt(v)) for i, v in enumerate(result.g1_values)))
     g2_csv = _csv("index,value", ((i, _fmt(v)) for i, v in enumerate(result.g2_values)))
     if config.output_path:
@@ -292,7 +285,9 @@ def _cmd_maxcorr(config: RunConfig) -> int:
 
 
 def _cmd_sample(config: RunConfig) -> int:
-    model = _resolve_model(config)
+    _, model = _resolve(config)
+    if model is None:
+        raise ValueError(_NOT_A_MODEL.format(config.fixture))
     samples = sample_joint(model, config.count, config.seed)
     if config.format == "json":
         _emit(config, _json_text([[float(x), float(y)] for x, y in samples]))

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lancaster import LancasterModel
-from .quadrature import gauss_legendre_rule
+from .quadrature import _values_on, gauss_legendre_rule
 
 __all__ = [
     "DiscretizedJoint",
@@ -116,17 +116,6 @@ class DiscretizedJoint:
             raise ValueError(f"total weighted mass is {mass!r}, expected 1 within {_MASS_TOL}")
 
 
-def _grid_values(density: Callable, x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
-    grid_x, grid_y = np.meshgrid(x_nodes, y_nodes, indexing="ij")
-    try:
-        values = np.asarray(density(grid_x, grid_y), dtype=float)
-        if values.shape == grid_x.shape:
-            return values
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.asarray([[float(density(x, y)) for y in y_nodes] for x in x_nodes])
-
-
 def discretize_joint(
     density: Callable,
     support: tuple[tuple[float, float], tuple[float, float]],
@@ -143,7 +132,7 @@ def discretize_joint(
     (ax, bx), (ay, by) = support
     rule_x = gauss_legendre_rule(int(nodes_per_axis), float(ax), float(bx))
     rule_y = gauss_legendre_rule(int(nodes_per_axis), float(ay), float(by))
-    values = _grid_values(density, rule_x.nodes, rule_y.nodes)
+    values = _values_on(density, rule_x.nodes, rule_y.nodes)
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError("density must be finite and nonnegative on the grid")
     mass = float(rule_x.weights @ values @ rule_y.weights)
@@ -270,6 +259,7 @@ class SvdResult(NamedTuple):
     R: float
     g1_values: np.ndarray
     g2_values: np.ndarray
+    spectrum: np.ndarray
 
 
 def singular_spectrum(joint: DiscretizedJoint) -> np.ndarray:
@@ -283,7 +273,8 @@ def maxcorr_svd(joint: DiscretizedJoint) -> SvdResult:
     The largest singular value belongs to the constants and must equal 1;
     a deviation beyond 1e-6 signals a broken discretization and raises
     SpectralFailureError. The optimizing transformations are returned as
-    function samples with zero weighted mean and unit weighted variance.
+    function samples with zero weighted mean and unit weighted variance,
+    next to every singular value of the kernel, descending.
     """
     if joint.x_nodes.size < 2 or joint.y_nodes.size < 2:
         raise ValueError("need at least two retained nodes per axis")
@@ -299,7 +290,7 @@ def maxcorr_svd(joint: DiscretizedJoint) -> SvdResult:
     g1 = _standardize(left[:, 1] / np.sqrt(wx), wx)
     g2 = _standardize(right_t[1] / np.sqrt(wy), wy)
     g1, g2 = _orient_pair(g1, g2, joint)
-    return SvdResult(R=float(spectrum[1]), g1_values=g1, g2_values=g2)
+    return SvdResult(R=float(spectrum[1]), g1_values=g1, g2_values=g2, spectrum=spectrum)
 
 
 # -- ACE ---------------------------------------------------------------------
@@ -386,27 +377,23 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 1000, tol: float = 1e-
 def maxcorr_discrete_pmf(pmf) -> float:
     """Maximal correlation of a finite pmf matrix.
 
-    Second singular value of Q_ij = p_ij / sqrt(p_i+ p_+j) after trimming
-    zero rows and columns. Undefined (degenerate-pmf) when either margin has
-    a single support point.
+    The kernel SVD of ``joint_from_pmf(pmf)``: the second singular value of
+    Q_ij = p_ij / sqrt(p_i+ p_+j) after trimming zero rows and columns.
+    Undefined (degenerate-pmf) when either margin has a single support point.
     """
     p = np.asarray(pmf, dtype=float)
-    if p.ndim != 2:
-        raise ValueError("pmf must be a matrix")
     if np.any(p < 0.0) or not np.all(np.isfinite(p)):
         raise ValueError("pmf entries must be finite and nonnegative")
     total = float(p.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"pmf must sum to 1 within 1e-12, got {total!r}")
-    p = p[p.sum(axis=1) > 0.0][:, p.sum(axis=0) > 0.0]
-    if p.shape[0] < 2 or p.shape[1] < 2:
+    joint = joint_from_pmf(p)
+    if joint.x_nodes.size < 2 or joint.y_nodes.size < 2:
         raise ValueError(
             "degenerate-pmf: a margin has a single support point, so maximal"
             " correlation is undefined"
         )
-    q = p / np.sqrt(np.outer(p.sum(axis=1), p.sum(axis=0)))
-    spectrum = np.linalg.svd(q, compute_uv=False)
-    return float(spectrum[1])
+    return maxcorr_svd(joint).R
 
 
 # -- closed-form route and combined report -----------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .orthopoly import MarginalSpec, OrthonormalSystem, build_system
+from .orthopoly import _DEFAULT_QUAD_NODES, MarginalSpec, OrthonormalSystem, build_system
 from .quadrature import QuadratureRule, integrate_2d
 
 __all__ = [
@@ -46,7 +46,6 @@ _BOUND_SLACK = 1e-12
 _NEGATIVE_CLAMP = 1e-12
 
 _DEFAULT_MAX_DEGREE = 8
-_DEFAULT_QUAD_NODES = 128
 _CDF_TABLE_KNOTS = 4096
 
 
@@ -182,9 +181,6 @@ class LancasterModel:
         value = np.where((value < 0.0) & (value > -_NEGATIVE_CLAMP), 0.0, value)
         return value if (ax.ndim or ay.ndim) else float(value)
 
-    def conditional_density_y_given_x(self, y, x):
-        return transpose_model(self).conditional_density_x_given_y(y, x)
-
     def marginal_residual(self, joint_density: Callable | None = None) -> tuple[float, float]:
         """Sup over a 128-point grid of |integrated joint minus marginal|, both axes.
 
@@ -236,6 +232,10 @@ def build_model(
     system_x = build_system(marginal_x, int(max_degree), quad_nodes)
     system_y = build_system(marginal_y, int(max_degree), quad_nodes)
     coeffs = validate_coefficients(rho, system_x.sup_norms[1:], system_y.sup_norms[1:])
+    return _assemble_model(marginal_x, marginal_y, system_x, system_y, coeffs, quad_nodes)
+
+
+def _assemble_model(marginal_x, marginal_y, system_x, system_y, coeffs, quad_nodes) -> LancasterModel:
     model = LancasterModel(
         marginal_x=marginal_x,
         marginal_y=marginal_y,
@@ -386,47 +386,48 @@ def model_from_config(cfg: dict) -> LancasterModel:
     Exactly one of ``rho`` (array of reals) or ``rho_builder``
     ({"type": "quadratic" | "linear", "N": int, "lambda": real for linear})
     must be present; ``max_degree`` defaults to max(8, coefficient count).
+    Values of the wrong JSON type raise ValueError.
     """
     if not isinstance(cfg, dict):
         raise ValueError("model config must be a JSON object")
     for key in ("marginal_x", "marginal_y"):
         if key not in cfg:
             raise ValueError(f"model config is missing {key!r}")
-    marginal_x = _marginal_from_config(cfg["marginal_x"])
-    marginal_y = _marginal_from_config(cfg["marginal_y"])
-
-    has_rho = "rho" in cfg
-    has_builder = "rho_builder" in cfg
-    if has_rho == has_builder:
-        raise ValueError("model config needs exactly one of 'rho' or 'rho_builder'")
+    try:
+        marginal_x = _marginal_from_config(cfg["marginal_x"])
+        marginal_y = _marginal_from_config(cfg["marginal_y"])
+        has_rho = "rho" in cfg
+        if has_rho == ("rho_builder" in cfg):
+            raise ValueError("model config needs exactly one of 'rho' or 'rho_builder'")
+        if has_rho:
+            rho = tuple(float(r) for r in cfg["rho"])
+            if not rho:
+                raise ValueError("'rho' must be a non-empty array")
+            count = len(rho)
+        else:
+            builder = cfg["rho_builder"]
+            if not isinstance(builder, dict) or "type" not in builder or "N" not in builder:
+                raise ValueError("'rho_builder' must be an object with 'type' and 'N'")
+            count = int(builder["N"])
+            if builder["type"] not in ("quadratic", "linear"):
+                raise ValueError(f"unknown rho_builder type {builder['type']!r}")
+            if builder["type"] == "linear":
+                if "lambda" not in builder:
+                    raise ValueError("linear rho_builder needs a 'lambda' value")
+                lam = float(builder["lambda"])
+        max_degree = int(cfg.get("max_degree", max(_DEFAULT_MAX_DEGREE, count)))
+        quad_nodes = int(cfg.get("quad_nodes", _DEFAULT_QUAD_NODES))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed model config: {exc}") from exc
 
     if has_rho:
-        rho = tuple(float(r) for r in cfg["rho"])
-        if not rho:
-            raise ValueError("'rho' must be a non-empty array")
+        return build_model(marginal_x, marginal_y, rho, max_degree=max_degree, quad_nodes=quad_nodes)
+    # a builder derives rho from the sup norms, so the systems are built once, here
+    system_x = build_system(marginal_x, max_degree, quad_nodes)
+    system_y = build_system(marginal_y, max_degree, quad_nodes)
+    c, d = system_x.sup_norms[1:], system_y.sup_norms[1:]
+    if builder["type"] == "quadratic":
+        coeffs = build_sequence_quadratic(c, d, count)
     else:
-        builder = cfg["rho_builder"]
-        if not isinstance(builder, dict) or "type" not in builder or "N" not in builder:
-            raise ValueError("'rho_builder' must be an object with 'type' and 'N'")
-        rho = (0.0,) * int(builder["N"])  # placeholder; replaced below
-
-    max_degree = int(cfg.get("max_degree", max(_DEFAULT_MAX_DEGREE, len(rho))))
-    quad_nodes = int(cfg.get("quad_nodes", _DEFAULT_QUAD_NODES))
-
-    if has_builder:
-        builder = cfg["rho_builder"]
-        system_x = build_system(marginal_x, max_degree, quad_nodes)
-        system_y = build_system(marginal_y, max_degree, quad_nodes)
-        c = system_x.sup_norms[1:]
-        d = system_y.sup_norms[1:]
-        n = int(builder["N"])
-        if builder["type"] == "quadratic":
-            rho = build_sequence_quadratic(c, d, n).rho
-        elif builder["type"] == "linear":
-            if "lambda" not in builder:
-                raise ValueError("linear rho_builder needs a 'lambda' value")
-            rho = build_sequence_linear(c, d, n, float(builder["lambda"])).rho
-        else:
-            raise ValueError(f"unknown rho_builder type {builder['type']!r}")
-
-    return build_model(marginal_x, marginal_y, rho, max_degree=max_degree, quad_nodes=quad_nodes)
+        coeffs = build_sequence_linear(c, d, count, lam)
+    return _assemble_model(marginal_x, marginal_y, system_x, system_y, coeffs, quad_nodes)

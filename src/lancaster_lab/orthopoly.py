@@ -27,7 +27,6 @@ __all__ = [
     "OrthonormalSystem",
     "DegenerateMarginalError",
     "build_system",
-    "evaluate",
     "sup_norm",
     "orthonormality_residual",
 ]
@@ -228,11 +227,6 @@ class OrthonormalSystem:
                 row -= b[k - 1] * coeff[k - 1]
             coeff[k + 1] = row / b[k]
         return coeff
-
-
-def evaluate(system: OrthonormalSystem, n: int, x):
-    """Module-level alias for OrthonormalSystem.evaluate."""
-    return system.evaluate(n, x)
 
 
 def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

@@ -8,6 +8,7 @@ makes concurrent use safe without coordination.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -112,15 +113,16 @@ def composite_gauss_legendre(breakpoints: Sequence[float], nodes_per_segment: in
     return QuadratureRule(nodes, weights, (float(pts[0]), float(pts[-1])))
 
 
-def _values_on(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f on a node array, accepting both vectorized and scalar-only f."""
+def _values_on(f: Callable, *axes: np.ndarray) -> np.ndarray:
+    """f on the ``ij`` grid of one or two node axes, vectorized or else point by point."""
+    grids = np.meshgrid(*axes, indexing="ij")
     try:
-        values = np.asarray(f(nodes), dtype=float)
-        if values.shape == nodes.shape:
+        values = np.asarray(f(*grids), dtype=float)
+        if values.shape == grids[0].shape:
             return values
     except (TypeError, ValueError, IndexError):
         pass
-    return np.asarray([float(f(x)) for x in nodes])
+    return np.reshape([float(f(*point)) for point in itertools.product(*axes)], grids[0].shape)
 
 
 def integrate(f: Callable, rule: QuadratureRule) -> float:
@@ -134,16 +136,7 @@ def integrate(f: Callable, rule: QuadratureRule) -> float:
 
 def integrate_2d(f: Callable, rule_x: QuadratureRule, rule_y: QuadratureRule) -> float:
     """Tensor-product quadrature of f(x, y) over the rectangle of the two rules."""
-    grid_x, grid_y = np.meshgrid(rule_x.nodes, rule_y.nodes, indexing="ij")
-    values = None
-    try:
-        values = np.asarray(f(grid_x, grid_y), dtype=float)
-    except (TypeError, ValueError, IndexError):
-        values = None
-    if values is None or values.shape != grid_x.shape:
-        values = np.asarray(
-            [[float(f(x, y)) for y in rule_y.nodes] for x in rule_x.nodes]
-        )
+    values = _values_on(f, rule_x.nodes, rule_y.nodes)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite-evaluation: integrand is not finite on the grid")
     return float(rule_x.weights @ values @ rule_y.weights)

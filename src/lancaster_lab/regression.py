@@ -21,8 +21,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .correlation import CorrelationReport, correlation_report, discretize_model
+from .correlation import DEFAULT_MODEL_GRID, CorrelationReport, correlation_report, discretize_model
 from .lancaster import LancasterModel, transpose_model
+from .quadrature import _values_on
 
 __all__ = [
     "RegressionCheckResult",
@@ -100,12 +101,7 @@ def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np
         )
     nodes = model.rule_x.nodes
     weights = model.rule_x.weights * model.marginal_x.density(nodes)
-    try:
-        h_vals = np.asarray(h(nodes), dtype=float)
-        if h_vals.shape != nodes.shape:
-            raise ValueError
-    except (TypeError, ValueError, IndexError):
-        h_vals = np.asarray([float(h(t)) for t in nodes])
+    h_vals = _values_on(h, nodes)
     if not np.all(np.isfinite(h_vals)):
         raise ValueError("non-finite-evaluation: h is not finite on the support")
 
@@ -262,7 +258,7 @@ class CounterexampleReport:
 
 def counterexample_report(
     model: LancasterModel,
-    grid: int = 200,
+    grid: int = DEFAULT_MODEL_GRID,
     ace_max_iters: int = 2000,
     ace_tol: float = 1e-9,
 ) -> CounterexampleReport:

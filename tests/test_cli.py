@@ -131,6 +131,12 @@ class TestMaxcorr:
         assert doc["spectrum"][0] == pytest.approx(1.0, abs=1e-9)
         assert len(doc["g1"]) == 96
 
+    @pytest.mark.parametrize("fixture", ["disc", "pball:1", "pball:2", "fourpoint", "fgm:0.2"])
+    def test_R_is_the_second_printed_singular_value(self, fixture, capsys):
+        assert main(["maxcorr", "--fixture", fixture, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["R"] == doc["spectrum"][1]
+
     def test_lf_line_endings_and_17_digits(self, tmp_path):
         out = tmp_path / "spectrum.csv"
         main(["maxcorr", "--fixture", "fgm:0.2", "--grid", "32", "--out", str(out)])
@@ -210,6 +216,25 @@ class TestErrorHandling:
         path.write_text("{not json")
         assert main(["report", "--model", str(path)]) == 1
         assert "error: config-error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda cfg: cfg.update(rho=5),
+            lambda cfg: cfg.update(rho=[None]),
+            lambda cfg: cfg["marginal_x"].update(support=5),
+            lambda cfg: cfg.pop("rho") and cfg.update(rho_builder={"type": "quadratic", "N": [4]}),
+            lambda cfg: cfg.update(max_degree=float("inf")),
+        ],
+    )
+    def test_malformed_value_types_end_in_one_config_error(self, tmp_path, capsys, mutate):
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        mutate(cfg)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["report", "--model", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
 
     def test_fgm_fixture_with_violating_coefficient_exits_two(self, capsys):
         assert main(["report", "--fixture", "fgm:0.5"]) == 2

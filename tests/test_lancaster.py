@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lancaster_lab import lancaster
 from lancaster_lab.lancaster import (
     BoundViolationError,
     build_model,
@@ -246,6 +247,31 @@ class TestModelConfig:
         mutate(cfg)
         with pytest.raises(ValueError):
             model_from_config(cfg)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            {"rho": [0.01, 0.02]},
+            {"rho_builder": {"type": "quadratic", "N": 3}},
+            {"rho_builder": {"type": "linear", "N": 2, "lambda": 0.01}},
+        ],
+    )
+    def test_each_system_is_built_once(self, monkeypatch, coefficients):
+        calls = []
+
+        def counting_build_system(*args, **kwargs):
+            calls.append(args[0].kind)
+            return build_system(*args, **kwargs)
+
+        monkeypatch.setattr(lancaster, "build_system", counting_build_system)
+        model_from_config(
+            {
+                "marginal_x": {"kind": "uniform", "support": [0, 1]},
+                "marginal_y": {"kind": "beta", "support": [0, 1], "params": {"a": 2, "b": 3}},
+                **coefficients,
+            }
+        )
+        assert calls == ["uniform", "beta"]
 
     def test_beta_and_table_marginals_round_trip(self, beta23, triangle_table):
         model = build_model(beta23, triangle_table, (0.005,))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lancaster_lab.correlation import discretize_joint
 from lancaster_lab.quadrature import (
     QuadratureRule,
     composite_gauss_legendre,
@@ -10,6 +11,7 @@ from lancaster_lab.quadrature import (
     integrate,
     integrate_2d,
 )
+from lancaster_lab.regression import conditional_expectation
 
 
 class TestGaussLegendreRule:
@@ -108,6 +110,35 @@ class TestIntegrate:
         rule = gauss_legendre_rule(8, 0.0, 1.0)
         with pytest.raises(ValueError, match="non-finite-evaluation"):
             integrate(lambda x: np.where(x > 0.5, np.nan, 1.0), rule)
+
+
+# Every caller of the shared vectorized-or-pointwise evaluation, fed a
+# one-argument and a two-argument callable.
+POINTWISE_ROUTES = {
+    "integrate": lambda one, two, model: integrate(one, model.rule_x),
+    "integrate_2d": lambda one, two, model: integrate_2d(two, model.rule_x, model.rule_y),
+    "discretize_joint": lambda one, two, model: discretize_joint(
+        two, ((0.0, 1.0), (0.0, 1.0)), 16
+    ).joint_values,
+    "conditional_expectation": lambda one, two, model: conditional_expectation(
+        model, one, np.linspace(0.1, 0.9, 5)
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(POINTWISE_ROUTES))
+def test_scalar_only_callables_match_vectorized_ones(route, ce_model):
+    def one(x):
+        return x * x + 1.0
+
+    def two(x, y):
+        return x * y + x
+
+    compute = POINTWISE_ROUTES[route]
+    vectorized = compute(one, two, ce_model)
+    # float() rejects arrays, so these are evaluated node by node
+    pointwise = compute(lambda x: one(float(x)), lambda x, y: two(float(x), float(y)), ce_model)
+    np.testing.assert_array_equal(pointwise, vectorized)
 
 
 class TestIntegrate2d:
