@@ -380,13 +380,22 @@ def model_to_config(model: LancasterModel) -> dict:
     }
 
 
+def _config_count(cfg: dict, key: str, default: int | None = None) -> int:
+    """The integer ``cfg[key]`` (``default`` when absent); other types, bool included, are malformed."""
+    value = cfg.get(key, default)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"malformed model config: {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def model_from_config(cfg: dict) -> LancasterModel:
     """Build a model from its JSON configuration.
 
     Exactly one of ``rho`` (array of reals) or ``rho_builder``
     ({"type": "quadratic" | "linear", "N": int, "lambda": real for linear})
     must be present; ``max_degree`` defaults to max(8, coefficient count).
-    Values of the wrong JSON type raise ValueError.
+    Values of the wrong JSON type raise ValueError; ``N``, ``max_degree``
+    and ``quad_nodes`` must be integers.
     """
     if not isinstance(cfg, dict):
         raise ValueError("model config must be a JSON object")
@@ -408,15 +417,15 @@ def model_from_config(cfg: dict) -> LancasterModel:
             builder = cfg["rho_builder"]
             if not isinstance(builder, dict) or "type" not in builder or "N" not in builder:
                 raise ValueError("'rho_builder' must be an object with 'type' and 'N'")
-            count = int(builder["N"])
+            count = _config_count(builder, "N")
             if builder["type"] not in ("quadratic", "linear"):
                 raise ValueError(f"unknown rho_builder type {builder['type']!r}")
             if builder["type"] == "linear":
                 if "lambda" not in builder:
                     raise ValueError("linear rho_builder needs a 'lambda' value")
                 lam = float(builder["lambda"])
-        max_degree = int(cfg.get("max_degree", max(_DEFAULT_MAX_DEGREE, count)))
-        quad_nodes = int(cfg.get("quad_nodes", _DEFAULT_QUAD_NODES))
+        max_degree = _config_count(cfg, "max_degree", max(_DEFAULT_MAX_DEGREE, count))
+        quad_nodes = _config_count(cfg, "quad_nodes", _DEFAULT_QUAD_NODES)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model config: {exc}") from exc
 

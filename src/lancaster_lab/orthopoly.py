@@ -66,6 +66,8 @@ class MarginalSpec:
         lo, hi = (float(self.support[0]), float(self.support[1]))
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             raise ValueError(f"support must be a bounded interval with alpha < omega, got {self.support!r}")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"support width omega - alpha overflows, got {self.support!r}")
         object.__setattr__(self, "support", (lo, hi))
 
         if self.kind == "uniform":

@@ -8,6 +8,7 @@ makes concurrent use safe without coordination.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ __all__ = [
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_STEPS = 100
+_REFERENCE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,17 +69,13 @@ def _legendre_and_derivative(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndar
     return p_cur, deriv
 
 
-def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [a, b]; exact through degree 2n - 1.
+@functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
+def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Nodes are Legendre roots found by Newton iteration started from the
     Chebyshev angles, so construction is deterministic and dependency-free.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"invalid-order: node count must be a positive integer, got {n!r}")
-    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-        raise ValueError(f"invalid-interval: need finite a < b, got [{a!r}, {b!r}]")
-
     m = (n + 1) // 2
     z = np.cos(np.pi * (np.arange(m) + 0.75) / (n + 0.5))
     for _ in range(_NEWTON_MAX_STEPS):
@@ -93,6 +91,26 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
 
     ref_nodes = np.concatenate([-z, z[::-1][n % 2 :]])
     ref_weights = np.concatenate([w_half, w_half[::-1][n % 2 :]])
+    ref_nodes.flags.writeable = False
+    ref_weights.flags.writeable = False
+    return ref_nodes, ref_weights
+
+
+def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
+    """n-point Gauss-Legendre rule on [a, b]; exact through degree 2n - 1.
+
+    The Newton solve for the roots and weights runs once per node count, on
+    [-1, 1], and each call maps that reference rule affinely onto [a, b].
+    The reference rules of the 64 most recently used node counts are kept.
+    """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"invalid-order: node count must be a positive integer, got {n!r}")
+    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
+        raise ValueError(f"invalid-interval: need finite a < b, got [{a!r}, {b!r}]")
+    if not math.isfinite(float(b) - float(a)):
+        raise ValueError(f"invalid-interval: the width b - a overflows, got [{a!r}, {b!r}]")
+
+    ref_nodes, ref_weights = _reference_rule(int(n))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return QuadratureRule(mid + half * ref_nodes, half * ref_weights, (float(a), float(b)))

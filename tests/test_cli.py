@@ -236,6 +236,33 @@ class TestErrorHandling:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("N", 2.9), ("N", True), ("max_degree", 8.7), ("quad_nodes", 130.5)],
+    )
+    def test_non_integer_counts_end_in_one_config_error(self, tmp_path, capsys, key, value):
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        if key == "N":
+            cfg.pop("rho")
+            cfg["rho_builder"] = {"type": "quadratic", "N": value}
+        else:
+            cfg[key] = value
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["report", "--model", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
+        assert f"{key!r} must be an integer" in errors[0]
+
+    def test_support_whose_width_overflows_ends_in_one_config_error(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        cfg["marginal_x"]["support"] = [-1e308, 1e308]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["report", "--model", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: config-error: support width")
+
     def test_fgm_fixture_with_violating_coefficient_exits_two(self, capsys):
         assert main(["report", "--fixture", "fgm:0.5"]) == 2
         assert "error: bound-violated" in capsys.readouterr().err

@@ -28,6 +28,10 @@ class TestMarginalSpec:
         with pytest.raises(ValueError):
             MarginalSpec("uniform", support)
 
+    def test_support_whose_width_overflows_is_rejected(self):
+        with pytest.raises(ValueError, match="support"):
+            MarginalSpec("uniform", (-1e308, 1e308))
+
     def test_beta_parameters_below_one_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             MarginalSpec("beta", (0.0, 1.0), (0.5, 2.0))

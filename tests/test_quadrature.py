@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lancaster_lab import cli
 from lancaster_lab.correlation import discretize_joint
 from lancaster_lab.quadrature import (
     QuadratureRule,
+    _reference_rule,
     composite_gauss_legendre,
     gauss_legendre_rule,
     integrate,
@@ -60,6 +62,53 @@ class TestGaussLegendreRule:
     def test_rejects_invalid_interval(self, a, b):
         with pytest.raises(ValueError, match="invalid-interval"):
             gauss_legendre_rule(4, a, b)
+
+    @pytest.mark.parametrize("a,b", [(-1e308, 1e308), (-1.5e308, 0.5e308)])
+    def test_rejects_interval_whose_width_overflows(self, a, b):
+        with pytest.raises(ValueError, match="invalid-interval"):
+            gauss_legendre_rule(8, a, b)
+
+
+class TestReferenceRuleCache:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 128, 165, 400])
+    def test_fresh_solve_matches_cached_rule_bitwise(self, n):
+        cached = gauss_legendre_rule(n, -2.0, 5.0)
+        _reference_rule.cache_clear()
+        fresh = gauss_legendre_rule(n, -2.0, 5.0)
+        assert _reference_rule.cache_info().misses == 1
+        assert np.array_equal(fresh.nodes, cached.nodes)
+        assert np.array_equal(fresh.weights, cached.weights)
+
+    def test_writing_into_a_rule_leaves_the_next_rule_intact(self):
+        first = gauss_legendre_rule(9, 0.0, 1.0)
+        expected_nodes, expected_weights = first.nodes.copy(), first.weights.copy()
+        first.nodes[:] = 0.5
+        first.weights[:] = -1.0
+        second = gauss_legendre_rule(9, 0.0, 1.0)
+        assert np.array_equal(second.nodes, expected_nodes)
+        assert np.array_equal(second.weights, expected_weights)
+
+    def test_cached_reference_arrays_are_read_only(self):
+        ref_nodes, ref_weights = _reference_rule(5)
+        for array in (ref_nodes, ref_weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_python_and_numpy_integers_share_one_entry(self):
+        _reference_rule.cache_clear()
+        gauss_legendre_rule(7, 0.0, 1.0)
+        gauss_legendre_rule(np.int64(7), -1.0, 3.0)
+        info = _reference_rule.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_bench_solves_each_node_count_once(self, tmp_path):
+        # bench builds rules of 128, 165, 200 and 400 nodes, most of them many times
+        _reference_rule.cache_clear()
+        assert cli.main(["bench", "--out", str(tmp_path / "bench.csv")]) == 0
+        info = _reference_rule.cache_info()
+        assert info.misses == 4
+        assert info.hits > 0
 
 
 class TestRuleConstruction:
