@@ -42,6 +42,7 @@ from .lancaster import (  # noqa: E402
     BoundViolationError,
     CoefficientSequence,
     LancasterModel,
+    ModelVerificationError,
     SampleStats,
     build_model,
     build_sequence_linear,
@@ -92,6 +93,7 @@ __all__ = [
     "LancasterModel",
     "LinearRegressionResult",
     "MarginalSpec",
+    "ModelVerificationError",
     "OrthonormalSystem",
     "QuadratureRule",
     "RegressionCheckResult",

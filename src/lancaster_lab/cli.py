@@ -21,6 +21,7 @@ LANCASTER_LAB_THREADS caps BLAS parallelism when set before start-up.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,6 +39,7 @@ from .correlation import (
 from .fixtures import BENCH_FIXTURES, resolve_fixture
 from .lancaster import (
     BoundViolationError,
+    ModelVerificationError,
     model_from_config,
     model_to_config,
     sample_joint,
@@ -357,12 +359,17 @@ def run(config: RunConfig) -> int:
     except AceConvergenceError as exc:
         print(f"error: no-convergence: {exc}", file=sys.stderr)
         return 3
+    except ModelVerificationError as exc:
+        print(f"error: verification-failed: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: config-error: {exc}", file=sys.stderr)
         return 1
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lancaster-lab",
         description="Verify expansion joints whose maximal correlation exceeds |pearson|.",

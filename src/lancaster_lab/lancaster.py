@@ -25,6 +25,7 @@ from .quadrature import QuadratureRule, integrate_2d
 
 __all__ = [
     "BoundViolationError",
+    "ModelVerificationError",
     "CoefficientSequence",
     "LancasterModel",
     "validate_coefficients",
@@ -58,6 +59,10 @@ class BoundViolationError(ValueError):
             f"bound-violated: sum |rho_n| c_n d_n = {bound_value:.17g} exceeds 1;"
             " the joint density is not guaranteed nonnegative"
         )
+
+
+class ModelVerificationError(RuntimeError):
+    """A built model fails its nonnegativity or unit-mass check despite a valid bound."""
 
 
 @dataclass(frozen=True)
@@ -254,13 +259,13 @@ def _verify_model(model: LancasterModel) -> None:
     grid_y = np.linspace(*model.marginal_y.support, 256)
     values = model.density(grid_x[:, None], grid_y[None, :])
     if np.min(values) < 0.0:
-        raise RuntimeError(
+        raise ModelVerificationError(
             f"density is negative ({np.min(values):.3e}) on the verification grid"
             " despite a validated coefficient bound"
         )
     mass = integrate_2d(model.density, model.rule_x, model.rule_y)
     if abs(mass - 1.0) > 1e-9:
-        raise RuntimeError(f"joint density integrates to {mass!r}, expected 1 within 1e-9")
+        raise ModelVerificationError(f"joint density integrates to {mass!r}, expected 1 within 1e-9")
 
 
 # -- sampling -------------------------------------------------------------

@@ -15,7 +15,7 @@ the system can carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -150,6 +150,7 @@ class OrthonormalSystem:
     ``leading`` holds the positive leading coefficients p_0 .. p_N (which
     supply the final off-diagonal entry b_N = p_{N-1} / p_N), and
     ``sup_norms`` the maxima c_0 .. c_N of |phi_n| over the support.
+    ``offdiagonals`` is the read-only array b_1 .. b_N, derived once per system.
     """
 
     max_degree: int
@@ -158,6 +159,10 @@ class OrthonormalSystem:
     leading: np.ndarray
     sup_norms: np.ndarray
     support: tuple[float, float]
+    offdiagonals: np.ndarray = field(init=False, repr=False)
+    # Python-float copies of a_0 .. a_{N-1} and b_1 .. b_N for one-point evaluation
+    _alpha_floats: list = field(init=False, repr=False)
+    _offdiagonal_floats: list = field(init=False, repr=False)
 
     def __post_init__(self):
         n = int(self.max_degree)
@@ -180,10 +185,12 @@ class OrthonormalSystem:
         object.__setattr__(self, "recurrence_beta", beta)
         object.__setattr__(self, "leading", lead)
         object.__setattr__(self, "sup_norms", sups)
-
-    def _offdiagonals(self) -> np.ndarray:
-        # b_1 .. b_N; the final entry comes from the leading-coefficient ratio
-        return np.append(self.recurrence_beta, self.leading[-2] / self.leading[-1])
+        # the final off-diagonal entry comes from the leading-coefficient ratio
+        offdiagonals = np.append(beta, lead[-2] / lead[-1])
+        offdiagonals.flags.writeable = False
+        object.__setattr__(self, "offdiagonals", offdiagonals)
+        object.__setattr__(self, "_alpha_floats", alpha.tolist())
+        object.__setattr__(self, "_offdiagonal_floats", offdiagonals.tolist())
 
     def evaluate_all(self, x, upto: int | None = None) -> np.ndarray:
         """Stack phi_0 .. phi_upto evaluated at x along the first axis."""
@@ -191,7 +198,7 @@ class OrthonormalSystem:
         if not 0 <= n <= self.max_degree:
             raise ValueError(f"degree-out-of-range: {n} not in [0, {self.max_degree}]")
         arr = np.asarray(x, dtype=float)
-        b = self._offdiagonals()
+        b = self.offdiagonals
         out = np.empty((n + 1,) + arr.shape)
         prev = np.zeros_like(arr)
         cur = np.ones_like(arr)
@@ -206,19 +213,35 @@ class OrthonormalSystem:
         return out
 
     def evaluate(self, n: int, x):
-        """phi_n at x via the three-term recurrence."""
+        """phi_n at x via the three-term recurrence.
+
+        A single point is evaluated in Python floats and returned as a float:
+        the steps are the IEEE operations of ``evaluate_all`` in the same
+        order, so the value is bit-identical without numpy's per-call cost.
+        An array goes through ``evaluate_all``.
+        """
         if not 0 <= int(n) <= self.max_degree:
             raise ValueError(f"degree-out-of-range: {n} not in [0, {self.max_degree}]")
+        n = int(n)
         arr = np.asarray(x, dtype=float)
-        value = self.evaluate_all(arr, upto=int(n))[int(n)]
-        return value if arr.ndim else float(value)
+        if arr.ndim:
+            return self.evaluate_all(arr, upto=n)[n]
+        t = float(arr)
+        a, b = self._alpha_floats, self._offdiagonal_floats
+        prev, cur = 0.0, 1.0
+        for k in range(n):
+            nxt = (t - a[k]) * cur
+            if k > 0:
+                nxt = nxt - b[k - 1] * prev
+            prev, cur = cur, nxt / b[k]
+        return cur
 
     def monomial_coefficients(self, n: int | None = None) -> np.ndarray:
         """Lower-triangular matrix C with C[k, j] the coefficient of x**j in phi_k."""
         n = self.max_degree if n is None else int(n)
         if not 0 <= n <= self.max_degree:
             raise ValueError(f"degree-out-of-range: {n} not in [0, {self.max_degree}]")
-        b = self._offdiagonals()
+        b = self.offdiagonals
         coeff = np.zeros((n + 1, n + 1))
         coeff[0, 0] = 1.0
         for k in range(n):
@@ -254,7 +277,8 @@ def sup_norm(system: OrthonormalSystem, n: int, support: tuple[float, float] | N
     """Maximum of |phi_n| over the interval.
 
     A Chebyshev-distributed scan with 64 n points (polynomial extrema cluster
-    at the ends) is refined by golden-section search around the grid winner;
+    at the ends) is refined by golden-section search around the grid winner,
+    which evaluates phi_n one point at a time in Python floats;
     no derivative root-finding is needed. Over the system's own support the
     result is never below 1: the weighted mean square of phi_n is 1.
     """

@@ -111,7 +111,7 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"invalid-interval: the width b - a overflows, got [{a!r}, {b!r}]")
 
     ref_nodes, ref_weights = _reference_rule(int(n))
-    mid = 0.5 * (a + b)
+    mid = 0.5 * a + 0.5 * b  # a + b can overflow where the width does not
     half = 0.5 * (b - a)
     return QuadratureRule(mid + half * ref_nodes, half * ref_weights, (float(a), float(b)))
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lancaster_lab import model_from_config
+from lancaster_lab import cli, model_from_config
 from lancaster_lab.cli import main
 
 HEADLINE_CONFIG = {
@@ -194,6 +194,24 @@ class TestBench:
         assert first.read_bytes() == second.read_bytes()
 
 
+class TestParser:
+    def test_subcommands_keep_their_own_format_default(self, model_file, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        report = tmp_path / "report.out"
+        bench = tmp_path / "bench.out"
+        assert main(["report", "--model", model_file, "--out", str(report)]) == 0
+        assert main(["bench", "--grid", "64", "--out", str(bench)]) == 0
+        assert "pearson" in json.loads(report.read_text())
+        assert bench.read_text().startswith("fixture,pearson,")
+
+    def test_bad_flag_exits_two_on_repeated_calls(self, model_file):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["report", "--model", model_file, "--no-such-flag"])
+            assert exit_info.value.code == 2
+        assert main(["validate", "--model", model_file]) == 0
+
+
 class TestErrorHandling:
     def test_missing_model_file(self, capsys):
         assert main(["report", "--model", "/nonexistent/path.json"]) == 1
@@ -262,6 +280,12 @@ class TestErrorHandling:
         assert main(["report", "--model", str(path)]) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith("error: config-error: support width")
+
+    def test_failed_model_verification_ends_in_one_error_line(self, model_file, capsys, monkeypatch):
+        monkeypatch.setattr("lancaster_lab.lancaster.integrate_2d", lambda *args, **kwargs: 1.5)
+        assert main(["report", "--model", model_file]) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: verification-failed: ")
 
     def test_fgm_fixture_with_violating_coefficient_exits_two(self, capsys):
         assert main(["report", "--fixture", "fgm:0.5"]) == 2

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lancaster_lab.orthopoly import (
     DegenerateMarginalError,
     MarginalSpec,
+    _golden_section_max,
     build_system,
     orthonormality_residual,
     sup_norm,
@@ -164,6 +165,60 @@ class TestSupNorm:
             sup_norm(system, 4)
         with pytest.raises(ValueError, match="degree-out-of-range"):
             system.evaluate(9, 0.5)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(kind, degree) for kind in ("uniform01", "beta23", "triangle_table") for degree in (8, 16)],
+    ids=lambda param: f"{param[0]}-{param[1]}",
+)
+def system_case(request):
+    kind, degree = request.param
+    return build_system(request.getfixturevalue(kind), degree)
+
+
+def _array_path_sup_norm(system, n):
+    """sup_norm with every golden-section step evaluated through evaluate_all."""
+    lo, hi = system.support
+    count = 64 * n
+    grid = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.linspace(0.0, np.pi, count))
+    values = np.abs(system.evaluate_all(grid, upto=n)[n])
+    j = int(np.argmax(values))
+    refined = _golden_section_max(
+        lambda t: abs(float(system.evaluate_all(np.asarray(t), upto=n)[n])),
+        grid[max(j - 1, 0)],
+        grid[min(j + 1, count - 1)],
+        tol=(hi - lo) * 1e-12,
+    )
+    return max(float(values[j]), refined, 1.0)
+
+
+class TestScalarEvaluation:
+    def test_one_point_matches_the_array_path_bitwise(self, system_case):
+        lo, hi = system_case.support
+        points = [lo, hi] + np.random.default_rng(5).uniform(lo, hi, size=200).tolist()
+        for n in range(system_case.max_degree + 1):
+            scalar = np.array([system_case.evaluate(n, t) for t in points])
+            array = np.array([system_case.evaluate_all(np.asarray(t), upto=n)[n] for t in points])
+            assert scalar.tobytes() == array.tobytes(), f"degree {n}"
+
+    def test_sup_norms_match_the_array_path_search_bitwise(self, system_case):
+        degrees = range(1, system_case.max_degree + 1)
+        expected = [1.0] + [_array_path_sup_norm(system_case, n) for n in degrees]
+        assert system_case.sup_norms.tobytes() == np.array(expected).tobytes()
+
+    def test_offdiagonals_are_stored_read_only(self, system_case):
+        expected = np.append(system_case.recurrence_beta, system_case.leading[-2] / system_case.leading[-1])
+        assert system_case.offdiagonals.tobytes() == expected.tobytes()
+        assert not system_case.offdiagonals.flags.writeable
+        with pytest.raises(ValueError):
+            system_case.offdiagonals[0] = 1.0
+
+    @pytest.mark.parametrize("x", [0.25, 0, np.float64(0.75)], ids=["float", "int", "float64"])
+    def test_one_point_returns_a_python_float(self, uniform01, x):
+        system = build_system(uniform01, 4)
+        for n in range(5):
+            assert type(system.evaluate(n, x)) is float
 
 
 class TestDegenerateMarginal:

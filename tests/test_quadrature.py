@@ -68,6 +68,13 @@ class TestGaussLegendreRule:
         with pytest.raises(ValueError, match="invalid-interval"):
             gauss_legendre_rule(8, a, b)
 
+    def test_interval_whose_sum_overflows(self):
+        # a + b overflows here, the width b - a does not
+        a, b = 1e308, 1.7e308
+        rule = gauss_legendre_rule(8, a, b)
+        assert np.all((rule.nodes >= a) & (rule.nodes <= b))
+        assert np.sum(rule.weights) == pytest.approx(b - a, rel=1e-12)
+
 
 class TestReferenceRuleCache:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 128, 165, 400])
