@@ -156,32 +156,29 @@ def _cmd_validate(config: RunConfig) -> int:
     return 0
 
 
+def _check_entry(result) -> dict:
+    """One identity check: an eigenfunction check has no fit, a moment check has one."""
+    if result.fitted_coeffs is None:
+        return {"target": result.target_leading, "max_residual": result.max_residual}
+    return {
+        "target_leading": result.target_leading,
+        "fitted_coeffs": list(result.fitted_coeffs),
+        "max_residual": result.max_residual,
+    }
+
+
 def _regression_entries(report) -> list[dict]:
     entries = []
     for checks in report.degree_checks:
         entry: dict = {
             "degree": checks.degree,
             "eigen": {
-                "x_given_y": {
-                    "target": checks.eigen_x_given_y.target_leading,
-                    "max_residual": checks.eigen_x_given_y.max_residual,
-                },
-                "y_given_x": {
-                    "target": checks.eigen_y_given_x.target_leading,
-                    "max_residual": checks.eigen_y_given_x.max_residual,
-                },
+                "x_given_y": _check_entry(checks.eigen_x_given_y),
+                "y_given_x": _check_entry(checks.eigen_y_given_x),
             },
             "polynomial": {
-                "x_given_y": {
-                    "target_leading": checks.poly_x_given_y.target_leading,
-                    "fitted_coeffs": list(checks.poly_x_given_y.fitted_coeffs),
-                    "max_residual": checks.poly_x_given_y.max_residual,
-                },
-                "y_given_x": {
-                    "target_leading": checks.poly_y_given_x.target_leading,
-                    "fitted_coeffs": list(checks.poly_y_given_x.fitted_coeffs),
-                    "max_residual": checks.poly_y_given_x.max_residual,
-                },
+                "x_given_y": _check_entry(checks.poly_x_given_y),
+                "y_given_x": _check_entry(checks.poly_y_given_x),
             },
         }
         if checks.degree == 1:
@@ -317,23 +314,9 @@ def _cmd_bench(config: RunConfig) -> int:
     if config.format == "json":
         _emit(config, _json_text(rows))
     else:
-        _emit(
-            config,
-            _csv(
-                "fixture,pearson,R_analytic,R_svd,R_ace,gap",
-                (
-                    (
-                        row["fixture"],
-                        _fmt(row["pearson"]),
-                        _fmt(row["R_analytic"]),
-                        _fmt(row["R_svd"]),
-                        _fmt(row["R_ace"]),
-                        _fmt(row["gap"]),
-                    )
-                    for row in rows
-                ),
-            ),
-        )
+        cells = [_flatten(row) for row in rows]
+        header = ",".join(key for key, _ in cells[0])
+        _emit(config, _csv(header, ([value for _, value in row] for row in cells)))
     return 0
 
 
@@ -346,25 +329,26 @@ _DISPATCH = {
 }
 
 
+def _report_error(kind: str, exc: Exception, code: int) -> int:
+    """Print one ``error: <kind>: <detail>`` line, naming the kind once; return ``code``."""
+    print(f"error: {kind}: {str(exc).removeprefix(f'{kind}: ')}", file=sys.stderr)
+    return code
+
+
 def run(config: RunConfig) -> int:
     """Execute one resolved configuration; returns the process exit code."""
     try:
         return _DISPATCH[config.command](config)
     except BoundViolationError as exc:
-        print(f"error: bound-violated: {exc}", file=sys.stderr)
-        return 2
+        return _report_error("bound-violated", exc, 2)
     except SpectralFailureError as exc:
-        print(f"error: spectral-failure: {exc}", file=sys.stderr)
-        return 3
+        return _report_error("spectral-failure", exc, 3)
     except AceConvergenceError as exc:
-        print(f"error: no-convergence: {exc}", file=sys.stderr)
-        return 3
+        return _report_error("no-convergence", exc, 3)
     except ModelVerificationError as exc:
-        print(f"error: verification-failed: {exc}", file=sys.stderr)
-        return 3
+        return _report_error("verification-failed", exc, 3)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: config-error: {exc}", file=sys.stderr)
-        return 1
+        return _report_error("config-error", exc, 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -413,8 +397,7 @@ def main(argv=None) -> int:
             tol=args.tol,
         )
     except ValueError as exc:
-        print(f"error: config-error: {exc}", file=sys.stderr)
-        return 1
+        return _report_error("config-error", exc, 1)
     return run(config)
 
 

@@ -54,6 +54,9 @@ _ZERO_MASS = 1e-9
 DEFAULT_MODEL_GRID = 200
 DEFAULT_CURVED_GRID = 400
 
+# ACE sweeps allowed in a correlation report before it gives up.
+_REPORT_ACE_MAX_ITERS = 2000
+
 
 class SpectralFailureError(RuntimeError):
     """The discretized kernel violates its structural spectral guarantees."""
@@ -406,21 +409,18 @@ def maxcorr_analytic(model: LancasterModel) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
-    """All correlation quantities of one joint, plus the optimizer samples."""
+    """All correlation quantities of one joint."""
 
     pearson: float
     maxcorr_analytic: float | None
     maxcorr_svd: float
     maxcorr_ace: float
     gap: float
-    g1_values: np.ndarray
-    g2_values: np.ndarray
 
 
 def correlation_report(
     joint: DiscretizedJoint,
     model: LancasterModel | None = None,
-    ace_max_iters: int = 2000,
     ace_tol: float = 1e-9,
 ) -> CorrelationReport:
     """Pearson plus every available maximal-correlation estimate for a joint.
@@ -432,7 +432,7 @@ def correlation_report(
     """
     rho = pearson(joint)
     svd = maxcorr_svd(joint)
-    ace = maxcorr_ace(joint, max_iters=ace_max_iters, tol=ace_tol)
+    ace = maxcorr_ace(joint, max_iters=_REPORT_ACE_MAX_ITERS, tol=ace_tol)
     analytic = maxcorr_analytic(model) if model is not None else None
     for label, value in (("svd", svd.R), ("ace", ace.R)):
         if not -1e-9 <= value <= 1.0 + 1e-9:
@@ -450,6 +450,4 @@ def correlation_report(
         maxcorr_svd=svd.R,
         maxcorr_ace=ace.R,
         gap=svd.R - abs(rho),
-        g1_values=svd.g1_values,
-        g2_values=svd.g2_values,
     )

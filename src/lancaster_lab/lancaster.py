@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .orthopoly import _DEFAULT_QUAD_NODES, MarginalSpec, OrthonormalSystem, build_system
-from .quadrature import QuadratureRule, integrate_2d
+from .quadrature import QuadratureRule, _values_on, integrate_2d
 
 __all__ = [
     "BoundViolationError",
@@ -139,7 +139,10 @@ def build_sequence_linear(c, d, count: int, lam: float) -> CoefficientSequence:
 
 @dataclass(frozen=True, eq=False)
 class LancasterModel:
-    """Two marginals, their orthonormal systems, and a validated coefficient sequence."""
+    """Two marginals, their orthonormal systems, and a validated coefficient sequence.
+
+    ``quad_nodes`` is the node count the systems and the rules were built with.
+    """
 
     marginal_x: MarginalSpec
     marginal_y: MarginalSpec
@@ -148,6 +151,7 @@ class LancasterModel:
     coeffs: CoefficientSequence
     rule_x: QuadratureRule
     rule_y: QuadratureRule
+    quad_nodes: int
 
     @property
     def rho(self) -> tuple[float, ...]:
@@ -195,9 +199,9 @@ class LancasterModel:
         f = self.density if joint_density is None else joint_density
         grid_x = np.linspace(*self.marginal_x.support, 128)
         grid_y = np.linspace(*self.marginal_y.support, 128)
-        along_y = np.asarray(f(grid_x[:, None], self.rule_y.nodes[None, :]), dtype=float)
+        along_y = _values_on(f, grid_x, self.rule_y.nodes)
         res_x = np.max(np.abs(along_y @ self.rule_y.weights - self.marginal_x.density(grid_x)))
-        along_x = np.asarray(f(self.rule_x.nodes[:, None], grid_y[None, :]), dtype=float)
+        along_x = _values_on(f, self.rule_x.nodes, grid_y)
         res_y = np.max(np.abs(self.rule_x.weights @ along_x - self.marginal_y.density(grid_y)))
         return float(res_x), float(res_y)
 
@@ -212,6 +216,7 @@ def transpose_model(model: LancasterModel) -> LancasterModel:
         coeffs=model.coeffs,
         rule_x=model.rule_y,
         rule_y=model.rule_x,
+        quad_nodes=model.quad_nodes,
     )
 
 
@@ -249,6 +254,7 @@ def _assemble_model(marginal_x, marginal_y, system_x, system_y, coeffs, quad_nod
         coeffs=coeffs,
         rule_x=marginal_x.quadrature_rule(quad_nodes),
         rule_y=marginal_y.quadrature_rule(quad_nodes),
+        quad_nodes=int(quad_nodes),
     )
     _verify_model(model)
     return model
@@ -257,7 +263,7 @@ def _assemble_model(marginal_x, marginal_y, system_x, system_y, coeffs, quad_nod
 def _verify_model(model: LancasterModel) -> None:
     grid_x = np.linspace(*model.marginal_x.support, 256)
     grid_y = np.linspace(*model.marginal_y.support, 256)
-    values = model.density(grid_x[:, None], grid_y[None, :])
+    values = _values_on(model.density, grid_x, grid_y)
     if np.min(values) < 0.0:
         raise ModelVerificationError(
             f"density is negative ({np.min(values):.3e}) on the verification grid"
@@ -279,9 +285,9 @@ class SampleStats(NamedTuple):
 class _InverseCdfTable:
     """Inverse CDF via a cumulative table with monotone linear interpolation."""
 
-    def __init__(self, marginal: MarginalSpec, knots: int = _CDF_TABLE_KNOTS):
+    def __init__(self, marginal: MarginalSpec):
         lo, hi = marginal.support
-        self.x = np.linspace(lo, hi, knots)
+        self.x = np.linspace(lo, hi, _CDF_TABLE_KNOTS)
         pdf = marginal.density(self.x)
         segments = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(self.x)
         cdf = np.concatenate([[0.0], np.cumsum(segments)])
@@ -376,13 +382,19 @@ def _marginal_from_config(cfg: dict) -> MarginalSpec:
 
 
 def model_to_config(model: LancasterModel) -> dict:
-    """Serializable configuration that reloads to a field-for-field equal model."""
-    return {
+    """Serializable configuration that reloads to a field-for-field equal model.
+
+    ``quad_nodes`` is written only when it differs from the default.
+    """
+    cfg = {
         "marginal_x": _marginal_to_config(model.marginal_x),
         "marginal_y": _marginal_to_config(model.marginal_y),
         "rho": list(model.coeffs.rho),
         "max_degree": model.system_x.max_degree,
     }
+    if model.quad_nodes != _DEFAULT_QUAD_NODES:
+        cfg["quad_nodes"] = model.quad_nodes
+    return cfg
 
 
 def _config_count(cfg: dict, key: str, default: int | None = None) -> int:

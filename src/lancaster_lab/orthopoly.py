@@ -40,6 +40,10 @@ _TABLE_RENORM_TOL = 1e-6
 _DEGENERATE_BETA = 1e-13
 _DEFAULT_QUAD_NODES = 128
 
+# A search that ends on its tolerance takes at most about 60 steps: the
+# bracket starts no wider than the support and the tolerance is 1e-12 of it.
+_GOLDEN_MAX_STEPS = 100
+
 
 class DegenerateMarginalError(ValueError):
     """The marginal carries fewer effective support points than requested degrees."""
@@ -255,13 +259,19 @@ class OrthonormalSystem:
 
 
 def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Maximum value of f on [lo, hi] by golden-section search."""
+    """Maximum value of f on [lo, hi] by golden-section search.
+
+    Stops at a bracket no wider than ``tol`` or after ``_GOLDEN_MAX_STEPS``
+    steps, since far from 0 the float spacing can exceed ``tol``.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    steps = 0
+    while (b - a) > tol and steps < _GOLDEN_MAX_STEPS:
+        steps += 1
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -273,22 +283,19 @@ def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: 
     return max(fc, fd)
 
 
-def sup_norm(system: OrthonormalSystem, n: int, support: tuple[float, float] | None = None) -> float:
-    """Maximum of |phi_n| over the interval.
+def sup_norm(system: OrthonormalSystem, n: int) -> float:
+    """Maximum of |phi_n| over the system's support.
 
     A Chebyshev-distributed scan with 64 n points (polynomial extrema cluster
     at the ends) is refined by golden-section search around the grid winner,
     which evaluates phi_n one point at a time in Python floats;
-    no derivative root-finding is needed. Over the system's own support the
-    result is never below 1: the weighted mean square of phi_n is 1.
+    no derivative root-finding is needed. The result is never below 1: the
+    weighted mean square of phi_n is 1.
     """
     if not 1 <= int(n) <= system.max_degree:
         raise ValueError(f"degree-out-of-range: {n} not in [1, {system.max_degree}]")
     n = int(n)
-    own_support = support is None
-    lo, hi = system.support if own_support else (float(support[0]), float(support[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValueError("support must be a bounded interval")
+    lo, hi = system.support
     count = 64 * n
     theta = np.linspace(0.0, np.pi, count)
     grid = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(theta)
@@ -299,8 +306,7 @@ def sup_norm(system: OrthonormalSystem, n: int, support: tuple[float, float] | N
     refined = _golden_section_max(
         lambda t: abs(float(system.evaluate(n, t))), bracket_lo, bracket_hi, tol=(hi - lo) * 1e-12
     )
-    best = max(float(values[j]), refined)
-    return max(best, 1.0) if own_support else best
+    return max(float(values[j]), refined, 1.0)
 
 
 def orthonormality_residual(
@@ -341,22 +347,29 @@ def build_system(
     norm2 = [float(np.sum(w))]
     alphas: list[float] = []
     betas_monic: list[float] = []
-    for k in range(max_degree):
-        a_k = float(np.sum(w * x * pi_cur * pi_cur)) / norm2[k]
-        alphas.append(a_k)
-        nxt = (x - a_k) * pi_cur
-        if k > 0:
-            nxt = nxt - betas_monic[k - 1] * pi_prev
-        pi_prev, pi_cur = pi_cur, nxt
-        n2 = float(np.sum(w * pi_cur * pi_cur))
-        beta_next = n2 / norm2[k]
-        if not math.isfinite(beta_next) or beta_next <= _DEGENERATE_BETA:
-            raise DegenerateMarginalError(
-                f"degenerate-marginal: recurrence coefficient beta_{k + 1} = {beta_next!r};"
-                " the marginal supports fewer polynomial degrees than requested"
-            )
-        betas_monic.append(beta_next)
-        norm2.append(n2)
+    # far from 0 the monic iterates overflow; the finiteness check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_degree):
+            a_k = float(np.sum(w * x * pi_cur * pi_cur)) / norm2[k]
+            alphas.append(a_k)
+            nxt = (x - a_k) * pi_cur
+            if k > 0:
+                nxt = nxt - betas_monic[k - 1] * pi_prev
+            pi_prev, pi_cur = pi_cur, nxt
+            n2 = float(np.sum(w * pi_cur * pi_cur))
+            beta_next = n2 / norm2[k]
+            if not math.isfinite(beta_next):
+                raise ValueError(
+                    f"stieltjes-overflow: the recurrence overflows at degree {k + 1} on the"
+                    f" support {marginal.support!r}; shift the support nearer to 0"
+                )
+            if beta_next <= _DEGENERATE_BETA:
+                raise DegenerateMarginalError(
+                    f"degenerate-marginal: recurrence coefficient beta_{k + 1} = {beta_next!r};"
+                    " the marginal supports fewer polynomial degrees than requested"
+                )
+            betas_monic.append(beta_next)
+            norm2.append(n2)
 
     leading = 1.0 / np.sqrt(np.asarray(norm2))
     beta_orthonormal = np.sqrt(np.asarray(betas_monic[: max_degree - 1]))

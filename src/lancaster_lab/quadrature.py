@@ -132,15 +132,21 @@ def composite_gauss_legendre(breakpoints: Sequence[float], nodes_per_segment: in
 
 
 def _values_on(f: Callable, *axes: np.ndarray) -> np.ndarray:
-    """f on the ``ij`` grid of one or two node axes, vectorized or else point by point."""
-    grids = np.meshgrid(*axes, indexing="ij")
+    """f on the ``ij`` tensor grid of one or two node axes.
+
+    f receives the open grid: with two axes of n and m nodes, arrays of shapes
+    (n, 1) and (1, m). It must broadcast them like a ufunc to an (n, m) result;
+    a callable that fails or returns another shape is evaluated point by
+    point instead, in row-major order.
+    """
+    shape = tuple(axis.size for axis in axes)
     try:
-        values = np.asarray(f(*grids), dtype=float)
-        if values.shape == grids[0].shape:
+        values = np.asarray(f(*np.meshgrid(*axes, indexing="ij", sparse=True)), dtype=float)
+        if values.shape == shape:
             return values
     except (TypeError, ValueError, IndexError):
         pass
-    return np.reshape([float(f(*point)) for point in itertools.product(*axes)], grids[0].shape)
+    return np.reshape([float(f(*point)) for point in itertools.product(*axes)], shape)
 
 
 def integrate(f: Callable, rule: QuadratureRule) -> float:

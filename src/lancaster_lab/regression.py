@@ -201,26 +201,21 @@ def _require_degree(model: LancasterModel, n: int) -> None:
         raise ValueError(f"degree-out-of-range: {n} not in [1, {top}]")
 
 
-def _affine_fit(model: LancasterModel) -> tuple[float, float, float]:
-    grid = _conditioning_grid(model.marginal_y.support)
-    means = conditional_expectation(model, lambda t: t, grid)
-    design = np.column_stack([np.ones_like(grid), grid])
-    intercept, slope = _checked_lstsq(design, means)
-    residual = float(np.max(np.abs(design @ (intercept, slope) - means)))
-    return float(slope), float(intercept), residual
-
-
 def check_linear_regression(model: LancasterModel) -> LinearRegressionResult:
     """Affine coefficients of both conditional means and their affinity defect.
 
     Returns (a1, a0, b1, b0, residual) for E(X|Y) = a1 Y + a0 and
-    E(Y|X) = b1 X + b0, with residual the larger sup-norm defect of the two
-    affine fits. The ``strict`` property flags a1 b1 != 0, which happens
+    E(Y|X) = b1 X + b0: the coefficients are the two degree-1 fits of
+    ``check_polynomial_regression`` and residual is the larger of their
+    sup-norm defects. The ``strict`` property flags a1 b1 != 0, which happens
     exactly when rho_1 does not vanish.
     """
-    a1, a0, res_x = _affine_fit(model)
-    b1, b0, res_y = _affine_fit(transpose_model(model))
-    return LinearRegressionResult(a1=a1, a0=a0, b1=b1, b0=b0, residual=max(res_x, res_y))
+    fit_x, fit_y = check_polynomial_regression(model, 1)
+    a0, a1 = fit_x.fitted_coeffs
+    b0, b1 = fit_y.fitted_coeffs
+    return LinearRegressionResult(
+        a1=a1, a0=a0, b1=b1, b0=b0, residual=max(fit_x.max_residual, fit_y.max_residual)
+    )
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,6 @@ class CounterexampleReport:
 def counterexample_report(
     model: LancasterModel,
     grid: int = DEFAULT_MODEL_GRID,
-    ace_max_iters: int = 2000,
     ace_tol: float = 1e-9,
 ) -> CounterexampleReport:
     """Run the full verification chain on one model.
@@ -271,7 +265,7 @@ def counterexample_report(
     max_{n >= 2} |rho_n|.
     """
     joint = discretize_model(model, grid)
-    corr = correlation_report(joint, model=model, ace_max_iters=ace_max_iters, ace_tol=ace_tol)
+    corr = correlation_report(joint, model=model, ace_tol=ace_tol)
     linear = check_linear_regression(model)
     checks = []
     for n in range(1, len(model.coeffs) + 1):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -290,3 +291,83 @@ class TestErrorHandling:
     def test_fgm_fixture_with_violating_coefficient_exits_two(self, capsys):
         assert main(["report", "--fixture", "fgm:0.5"]) == 2
         assert "error: bound-violated" in capsys.readouterr().err
+
+
+class TestErrorKindOnce:
+    def _raise(self, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        return broken
+
+    @pytest.mark.parametrize(
+        "target,exc,kind",
+        [
+            (
+                "lancaster_lab.correlation.maxcorr_svd",
+                cli.SpectralFailureError("spectral-failure: leading singular value is 0.5, expected 1"),
+                "spectral-failure",
+            ),
+            (
+                "lancaster_lab.correlation.maxcorr_ace",
+                cli.AceConvergenceError(last_estimate=0.1, gap=1e-3, iterations=5),
+                "no-convergence",
+            ),
+        ],
+        ids=["spectral-failure", "no-convergence"],
+    )
+    def test_numerical_failure_names_its_kind_once(self, model_file, capsys, monkeypatch, target, exc, kind):
+        monkeypatch.setattr(target, self._raise(exc))
+        assert main(["report", "--model", model_file]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
+        assert lines[0].count(kind) == 1
+
+    def test_bound_violation_names_its_kind_once(self, violating_file, capsys):
+        assert main(["report", "--model", violating_file]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bound-violated: sum |rho_n|")
+        assert lines[0].count("bound-violated") == 1
+
+
+def _write_config(tmp_path, cfg, name="model.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestSupportsFarFromZero:
+    def test_narrow_support_near_1e4_reports(self, tmp_path):
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        cfg["marginal_x"]["support"] = [1e4, 1e4 + 1.0]
+        out = tmp_path / "report.json"
+        assert main(["report", "--model", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["counterexample_confirmed"] is True
+
+    def test_overflowing_support_ends_in_one_line_naming_the_overflow(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        cfg["marginal_x"]["support"] = [1e308, 1.7e308]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", "--model", _write_config(tmp_path, cfg)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert caught == []
+        assert len(lines) == 1 and lines[0].startswith("error: config-error: stieltjes-overflow: ")
+        assert "1e+308" in lines[0]
+
+
+class TestEmbeddedModelReloads:
+    def test_report_of_the_embedded_model_is_byte_identical(self, tmp_path):
+        cfg = {
+            "marginal_x": {"kind": "beta", "support": [0, 1], "params": {"a": 2, "b": 3}},
+            "marginal_y": {"kind": "uniform", "support": [0, 1]},
+            "rho": [0.02, 0.05],
+            "quad_nodes": 40,
+        }
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["report", "--model", _write_config(tmp_path, cfg), "--out", str(first)]) == 0
+        embedded = json.loads(first.read_text())["model"]
+        assert embedded["quad_nodes"] == 40
+        reload_path = _write_config(tmp_path, embedded, "embedded.json")
+        assert main(["report", "--model", reload_path, "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()

@@ -1,8 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lancaster_lab
 from lancaster_lab import lancaster
 from lancaster_lab.lancaster import (
     BoundViolationError,
@@ -16,7 +20,7 @@ from lancaster_lab.lancaster import (
     validate_coefficients,
 )
 from lancaster_lab.orthopoly import MarginalSpec, build_system
-from lancaster_lab.quadrature import integrate_2d
+from lancaster_lab.quadrature import _values_on, integrate_2d
 
 UNIFORM_SUPS = np.sqrt(2.0 * np.arange(1, 9) + 1)  # c_n = sqrt(2n+1) on [0, 1]
 
@@ -306,3 +310,40 @@ def test_scaled_sequences_validate_exactly_when_below_the_bound(raw, target):
     assert seq.bound_value == pytest.approx(target, rel=1e-12)
     with pytest.raises(BoundViolationError):
         validate_coefficients(raw * (1.5 / mass), c, d)
+
+
+def _verify_models_configs(seed: int) -> list[dict]:
+    """The four configs of the verify-models benchmark workload for one seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.model_configs(lancaster_lab, np.random.default_rng(seed))
+
+
+class TestOpenGridDensity:
+    @pytest.mark.parametrize("slot", range(4))
+    def test_open_grid_matches_the_full_meshgrid_bitwise(self, slot):
+        model = model_from_config(_verify_models_configs(1)[slot])
+        grids = [
+            (np.linspace(*model.marginal_x.support, 256), np.linspace(*model.marginal_y.support, 256)),
+            (model.rule_x.nodes, model.rule_y.nodes),
+        ]
+        for x, y in grids:
+            full = model.density(*np.meshgrid(x, y, indexing="ij"))
+            assert _values_on(model.density, x, y).tobytes() == full.tobytes()
+
+
+class TestQuadNodesRoundTrip:
+    def test_non_default_count_is_written_back(self, beta23, uniform01):
+        model = build_model(beta23, uniform01, (0.02, 0.05), quad_nodes=40)
+        cfg = model_to_config(model)
+        assert cfg["quad_nodes"] == 40
+        reloaded = model_from_config(cfg)
+        assert reloaded.quad_nodes == 40
+        assert reloaded.rule_x.nodes.tobytes() == model.rule_x.nodes.tobytes()
+        assert reloaded.system_x.sup_norms.tobytes() == model.system_x.sup_norms.tobytes()
+
+    def test_default_count_is_left_out(self, ce_model):
+        assert "quad_nodes" not in model_to_config(ce_model)
+        assert transpose_model(ce_model).quad_nodes == ce_model.quad_nodes == 128

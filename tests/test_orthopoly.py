@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,3 +261,24 @@ def test_sup_norm_soundness_for_integer_ish_beta(alpha, beta_param):
     values = np.abs(system.evaluate_all(xs))
     bounds = system.sup_norms[:, None] * (1.0 + 1e-8)
     assert np.all(values <= bounds)
+
+
+class TestSupportFarFromZero:
+    def test_sup_norms_on_a_narrow_far_support(self):
+        # the float spacing near 1e4 exceeds the search's relative tolerance
+        system = build_system(MarginalSpec("uniform", (1e4, 1e4 + 1.0)), 2)
+        assert system.sup_norms[1] == pytest.approx(np.sqrt(3.0), rel=1e-8)
+        assert system.sup_norms[2] == pytest.approx(np.sqrt(5.0), rel=1e-8)
+
+    def test_golden_section_ends_below_the_float_spacing(self):
+        peak = _golden_section_max(lambda t: -abs(t - 0.3), 0.0, 1.0, tol=0.0)
+        assert peak == pytest.approx(0.0, abs=1e-15)
+
+    def test_overflowing_recurrence_names_the_overflow_without_warnings(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="stieltjes-overflow") as error:
+                build_system(MarginalSpec("uniform", (1e308, 1.7e308)), 2)
+        assert "1e+308" in str(error.value)
+        assert not isinstance(error.value, DegenerateMarginalError)
+        assert caught == []

@@ -8,6 +8,7 @@ from lancaster_lab.correlation import discretize_joint
 from lancaster_lab.quadrature import (
     QuadratureRule,
     _reference_rule,
+    _values_on,
     composite_gauss_legendre,
     gauss_legendre_rule,
     integrate,
@@ -252,3 +253,33 @@ def test_affine_covariance(a, width, coeffs):
         lambda t: f(a + (b - a) * t) * (b - a), gauss_legendre_rule(24, 0.0, 1.0)
     )
     assert direct == pytest.approx(pulled_back, abs=1e-11 * (1.0 + abs(direct)))
+
+
+class TestOpenGrid:
+    def test_callable_receives_a_column_and_a_row(self):
+        shapes = []
+
+        def f(x, y):
+            shapes.append((x.shape, y.shape))
+            return x * y + x
+
+        x, y = np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 2.0, 5)
+        values = _values_on(f, x, y)
+        assert shapes == [((3, 1), (1, 5))]
+        full = f(*np.meshgrid(x, y, indexing="ij"))
+        assert values.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x, y: np.asarray(x) * 2.0,  # ignores y: the column comes back
+            lambda x, y: float(x) * float(y) + 1.0,  # rejects arrays
+        ],
+        ids=["wrong-shape", "scalar-only"],
+    )
+    def test_callables_that_do_not_broadcast_fall_back_point_by_point(self, f):
+        x, y = np.linspace(0.0, 1.0, 4), np.linspace(2.0, 3.0, 6)
+        expected = np.array([[f(np.float64(a), np.float64(b)) for b in y] for a in x])
+        values = _values_on(f, x, y)
+        assert values.shape == (4, 6)
+        assert values.tobytes() == expected.tobytes()

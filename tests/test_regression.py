@@ -190,3 +190,21 @@ class TestCounterexampleReport:
         for checks in report.degree_checks:
             assert checks.eigen_x_given_y.max_residual <= 1e-8
             assert checks.poly_y_given_x.max_residual <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def asymmetric_model(uniform01, beta23):
+    return build_model(beta23, uniform01, (0.01, 0.03))
+
+
+class TestLinearRegressionReadsTheDegreeOneFits:
+    @pytest.mark.parametrize(
+        "name", ["ce_model", "swapped_model", "independence_model", "asymmetric_model"]
+    )
+    def test_coefficients_and_residual_are_the_degree_one_fits(self, request, name):
+        model = request.getfixturevalue(name)
+        fit_x, fit_y = check_polynomial_regression(model, 1)
+        result = check_linear_regression(model)
+        assert (result.a0, result.a1) == fit_x.fitted_coeffs
+        assert (result.b0, result.b1) == fit_y.fitted_coeffs
+        assert result.residual == max(fit_x.max_residual, fit_y.max_residual)
