@@ -56,6 +56,7 @@ from .lancaster import (  # noqa: E402
 from .orthopoly import (  # noqa: E402
     DegenerateMarginalError,
     MarginalSpec,
+    OrthonormalityError,
     OrthonormalSystem,
     build_system,
     orthonormality_residual,
@@ -95,6 +96,7 @@ __all__ = [
     "MarginalSpec",
     "ModelVerificationError",
     "OrthonormalSystem",
+    "OrthonormalityError",
     "QuadratureRule",
     "RegressionCheckResult",
     "SampleStats",

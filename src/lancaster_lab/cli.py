@@ -8,7 +8,8 @@ Subcommands:
     bench      run every built-in fixture and tabulate the estimates
 
 Models come from ``--model PATH`` (JSON config) or ``--fixture NAME`` for the
-built-ins (disc, pball:p, fourpoint, fgm:rho1). Exit codes: 0 success,
+built-ins (disc, pball:p, fourpoint, fgm:rho1). ``--grid`` is at most
+MAX_GRID and ``--count`` at most MAX_COUNT. Exit codes: 0 success,
 1 config error, 2 validation failure (coefficient bound), 3 numerical
 failure; each failure prints one machine-parsable line on stderr.
 
@@ -44,11 +45,18 @@ from .lancaster import (
     model_to_config,
     sample_joint,
 )
+from .orthopoly import OrthonormalityError
 from .regression import counterexample_report
 
 __all__ = ["RunConfig", "run", "main"]
 
 _COMMANDS = ("validate", "report", "maxcorr", "sample", "bench")
+
+# Input limits, checked before anything is allocated. A grid of n nodes per
+# axis makes an n x n kernel (8 n^2 bytes) and an O(n^3) SVD: 32 MiB at 2048.
+# Draws are held in memory at 16 bytes each: 160 MB at 10 million.
+MAX_GRID = 2048
+MAX_COUNT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -70,10 +78,14 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.grid is not None and self.grid < 16:
             raise ValueError("grid must be at least 16 nodes per axis")
+        if self.grid is not None and self.grid > MAX_GRID:
+            raise ValueError(f"grid must be at most {MAX_GRID} nodes per axis, got {self.grid}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         if self.count < 1:
             raise ValueError("count must be positive")
+        if self.count > MAX_COUNT:
+            raise ValueError(f"count must be at most {MAX_COUNT}, got {self.count}")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 
@@ -347,6 +359,8 @@ def run(config: RunConfig) -> int:
         return _report_error("no-convergence", exc, 3)
     except ModelVerificationError as exc:
         return _report_error("verification-failed", exc, 3)
+    except OrthonormalityError as exc:
+        return _report_error("orthonormality-failed", exc, 3)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return _report_error("config-error", exc, 1)
 

@@ -26,6 +26,7 @@ __all__ = [
     "MarginalSpec",
     "OrthonormalSystem",
     "DegenerateMarginalError",
+    "OrthonormalityError",
     "build_system",
     "sup_norm",
     "orthonormality_residual",
@@ -47,6 +48,13 @@ _GOLDEN_MAX_STEPS = 100
 
 class DegenerateMarginalError(ValueError):
     """The marginal carries fewer effective support points than requested degrees."""
+
+
+class OrthonormalityError(ValueError):
+    """A built system misses its Gram check: a numerical failure, not a bad config.
+
+    A ValueError still, so callers that catch ValueError keep working.
+    """
 
 
 @dataclass(frozen=True)
@@ -328,8 +336,10 @@ def build_system(
     Runs the Stieltjes procedure on a quadrature grid: each recurrence
     coefficient is a ratio of inner products of the current monic iterates
     against the density. The returned system is checked for orthonormality
-    on an independent, finer rule; failure means quad_nodes was too small
-    for the requested degrees (raise it) or the marginal is too rough.
+    on an independent, finer rule and raises OrthonormalityError when its
+    Gram matrix is off the identity by more than 1e-10. The cause may be a
+    rule too small for the degrees, a rough marginal, or rounding on a
+    support far from 0, where a larger rule does not help.
     """
     if int(max_degree) < 1:
         raise ValueError("max_degree must be >= 1")
@@ -388,8 +398,9 @@ def build_system(
 
     residual = orthonormality_residual(system, marginal, quad_nodes + 37)
     if residual > 1e-10:
-        raise ValueError(
-            f"orthonormality check failed (residual {residual:.3e}); increase quad_nodes"
-            " or lower max_degree for this marginal"
+        raise OrthonormalityError(
+            f"orthonormality-failed: Gram residual {residual:.3e} exceeds 1e-10 for the"
+            f" {marginal.kind} marginal on {marginal.support!r} at max_degree {max_degree}"
+            f" with quad_nodes {quad_nodes}"
         )
     return system

@@ -371,3 +371,72 @@ class TestEmbeddedModelReloads:
         reload_path = _write_config(tmp_path, embedded, "embedded.json")
         assert main(["report", "--model", reload_path, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestSvdRequests:
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        """Records, per np.linalg.svd call, whether singular vectors were asked for."""
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(matrix, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return calls
+
+    def test_bench_never_asks_for_singular_vectors(self, svd_calls, tmp_path):
+        assert main(["bench", "--grid", "64", "--out", str(tmp_path / "bench.csv")]) == 0
+        assert svd_calls == [False] * 5
+
+    def test_report_never_asks_for_singular_vectors(self, svd_calls, model_file, tmp_path):
+        assert main(["report", "--model", model_file, "--out", str(tmp_path / "r.json")]) == 0
+        assert svd_calls == [False]
+
+    def test_maxcorr_asks_once(self, svd_calls, capsys):
+        assert main(["maxcorr", "--fixture", "fgm:0.2", "--grid", "64", "--format", "json"]) == 0
+        assert svd_calls == [True]
+
+
+class TestOrthonormalityFailure:
+    @pytest.mark.parametrize(
+        "marginal",
+        [
+            {"kind": "uniform", "support": [1e5, 100001]},
+            {"kind": "beta", "support": [0, 1], "params": {"a": 1.5, "b": 1.5}},
+        ],
+        ids=["uniform-far-from-zero", "beta-1.5"],
+    )
+    def test_report_exits_three_with_one_line(self, tmp_path, capsys, marginal):
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        cfg["marginal_x"] = marginal
+        cfg["max_degree"] = 4
+        assert main(["report", "--model", _write_config(tmp_path, cfg)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: orthonormality-failed: Gram residual")
+        assert lines[0].count("orthonormality-failed") == 1
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bench", "--grid", str(cli.MAX_GRID + 1)],
+            ["maxcorr", "--fixture", "disc", "--grid", str(10**9)],
+            ["sample", "--fixture", "fgm:0.2", "--count", str(10**12)],
+            ["sample", "--fixture", "fgm:0.2", "--count", str(cli.MAX_COUNT + 1)],
+        ],
+        ids=["grid-2049", "grid-1e9", "count-1e12", "count-limit-plus-one"],
+    )
+    def test_rejected_before_anything_runs(self, args, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the command ran"))
+        assert main(args) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config-error: ")
+        assert "at most" in lines[0]
+
+    def test_limits_themselves_are_accepted(self):
+        assert cli.RunConfig("bench", grid=cli.MAX_GRID).grid == 2048
+        assert cli.RunConfig("sample", count=cli.MAX_COUNT).count == 10_000_000

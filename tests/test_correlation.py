@@ -4,9 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lancaster_lab.correlation import (
+    _REPORT_ACE_MAX_ITERS,
     AceConvergenceError,
+    AceResult,
     DiscretizedJoint,
     SpectralFailureError,
+    _ace_start,
+    _orient_pair,
+    _standardize,
     correlation_report,
     discretize_joint,
     discretize_model,
@@ -18,6 +23,7 @@ from lancaster_lab.correlation import (
     pearson,
     singular_spectrum,
 )
+from lancaster_lab.fixtures import BENCH_FIXTURES, resolve_fixture
 
 UNIT_BOX = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -275,3 +281,72 @@ class TestCorrelationReport:
     def test_analytic_route_is_the_coefficient_maximum(self, ce_model, swapped_model):
         assert maxcorr_analytic(ce_model) == 0.15
         assert maxcorr_analytic(swapped_model) == 0.15
+
+
+@pytest.fixture(scope="module")
+def bench_joints():
+    return {name: resolve_fixture(name).joint() for name in BENCH_FIXTURES}
+
+
+class TestValuesOnlySvd:
+    def test_report_takes_R_from_the_values_only_spectrum(self, bench_joints):
+        for name, joint in bench_joints.items():
+            report = correlation_report(joint, ace_tol=1e-9)
+            assert report.maxcorr_svd == float(singular_spectrum(joint)[1]), name
+
+    def test_values_only_result_has_no_vectors_and_the_same_spectrum(self, bench_joints, ce_joint):
+        for joint in (*bench_joints.values(), ce_joint):
+            result = maxcorr_svd(joint, vectors=False)
+            assert result.g1_values is None and result.g2_values is None
+            assert result.spectrum.tobytes() == singular_spectrum(joint).tobytes()
+            assert result.R == float(result.spectrum[1])
+
+    def test_values_only_route_keeps_the_constant_check(self, ce_model):
+        base = discretize_model(ce_model, 64)
+        warped = base.marginal_x_values * (1.0 + 0.05 * np.sin(np.arange(base.x_nodes.size)))
+        broken = DiscretizedJoint(
+            x_nodes=base.x_nodes,
+            x_weights=base.x_weights,
+            y_nodes=base.y_nodes,
+            y_weights=base.y_weights,
+            joint_values=base.joint_values,
+            marginal_x_values=warped,
+            marginal_y_values=base.marginal_y_values,
+        )
+        with pytest.raises(SpectralFailureError, match="spectral-failure"):
+            maxcorr_svd(broken, vectors=False)
+
+
+def _ace_with_products_in_the_sweep(joint, max_iters, tol):
+    """maxcorr_ace as it was when each sweep rebuilt its weighted kernels."""
+    values = joint.joint_values
+    u, v = joint.x_weights, joint.y_weights
+    m, mu = joint.marginal_x_values, joint.marginal_y_values
+    wx, wy = u * m, v * mu
+    g2 = _ace_start(joint.y_nodes, wy)
+    estimate = None
+    for iteration in range(1, max_iters + 1):
+        h1 = (values * v[None, :]) @ g2 / m
+        h1 = h1 - float(wx @ h1) / float(np.sum(wx))
+        var1 = float(wx @ h1**2)
+        assert var1 > 1e-26
+        g1 = h1 / np.sqrt(var1 / float(np.sum(wx)))
+        h2 = (values * u[:, None]).T @ g1 / mu
+        g2 = _standardize(h2, wy)
+        new_estimate = float((u * g1) @ values @ (v * g2))
+        if estimate is not None and abs(new_estimate - estimate) <= tol:
+            g1, g2 = _orient_pair(g1, g2, joint)
+            return AceResult(R=new_estimate, g1_values=g1, g2_values=g2, iterations=iteration)
+        estimate = new_estimate
+    raise AssertionError("the reference sweep did not converge")
+
+
+class TestAceHoistedKernels:
+    def test_bit_identical_to_the_sweep_that_rebuilds_its_kernels(self, bench_joints, ce_joint):
+        for name, joint in (*bench_joints.items(), ("ce", ce_joint)):
+            got = maxcorr_ace(joint, max_iters=_REPORT_ACE_MAX_ITERS, tol=1e-9)
+            want = _ace_with_products_in_the_sweep(joint, _REPORT_ACE_MAX_ITERS, 1e-9)
+            assert got.R == want.R, name
+            assert got.iterations == want.iterations, name
+            assert got.g1_values.tobytes() == want.g1_values.tobytes(), name
+            assert got.g2_values.tobytes() == want.g2_values.tobytes(), name

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lancaster_lab.orthopoly import (
     DegenerateMarginalError,
     MarginalSpec,
+    OrthonormalityError,
     _golden_section_max,
     build_system,
     orthonormality_residual,
@@ -282,3 +283,27 @@ class TestSupportFarFromZero:
         assert "1e+308" in str(error.value)
         assert not isinstance(error.value, DegenerateMarginalError)
         assert caught == []
+
+
+class TestOrthonormalityFailure:
+    @pytest.mark.parametrize(
+        "marginal,degree",
+        [
+            (MarginalSpec("uniform", (1e5, 100001.0)), 8),
+            (MarginalSpec("beta", (0.0, 1.0), (1.5, 1.5)), 4),
+        ],
+        ids=["uniform-far-from-zero", "beta-1.5"],
+    )
+    def test_failure_has_its_own_kind_and_names_its_context(self, marginal, degree):
+        with pytest.raises(OrthonormalityError, match="orthonormality-failed") as error:
+            build_system(marginal, degree)
+        message = str(error.value)
+        assert isinstance(error.value, ValueError)
+        assert "Gram residual" in message and repr(marginal.support) in message
+        assert f"max_degree {degree}" in message and "quad_nodes 128" in message
+        assert "increase quad_nodes" not in message
+
+    def test_a_larger_rule_does_not_rescue_a_support_far_from_zero(self):
+        # rounding of x - a_k near 1e5, not the rule size, sets the residual
+        with pytest.raises(OrthonormalityError, match="quad_nodes 512"):
+            build_system(MarginalSpec("uniform", (1e5, 100001.0)), 8, quad_nodes=512)
