@@ -9,9 +9,10 @@ Subcommands:
 
 Models come from ``--model PATH`` (JSON config) or ``--fixture NAME`` for the
 built-ins (disc, pball:p, fourpoint, fgm:rho1). ``--grid`` is at most
-MAX_GRID and ``--count`` at most MAX_COUNT. Exit codes: 0 success,
-1 config error, 2 validation failure (coefficient bound), 3 numerical
-failure; each failure prints one machine-parsable line on stderr.
+MAX_GRID, ``--count`` at most MAX_COUNT and ``--tol`` at most MAX_TOL.
+Exit codes: 0 success, 1 config error, 2 validation failure (coefficient
+bound), 3 numerical failure; each failure prints one machine-parsable line
+on stderr.
 
 CSV output uses '.' decimals, 17 significant digits and LF line endings so
 doubles round-trip losslessly and runs diff cleanly. Files are written
@@ -54,9 +55,11 @@ _COMMANDS = ("validate", "report", "maxcorr", "sample", "bench")
 
 # Input limits, checked before anything is allocated. A grid of n nodes per
 # axis makes an n x n kernel (8 n^2 bytes) and an O(n^3) SVD: 32 MiB at 2048.
-# Draws are held in memory at 16 bytes each: 160 MB at 10 million.
+# Draws are held in memory at 16 bytes each: 160 MB at 10 million. A looser
+# ACE tolerance than MAX_TOL stops the sweeps before the estimate converges.
 MAX_GRID = 2048
 MAX_COUNT = 10_000_000
+MAX_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,8 @@ class RunConfig:
             raise ValueError(f"count must be at most {MAX_COUNT}, got {self.count}")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if self.tol > MAX_TOL:
+            raise ValueError(f"tol must be at most {MAX_TOL}, got {self.tol}")
 
 
 def _fmt(value: float) -> str:

@@ -47,7 +47,15 @@ _BOUND_SLACK = 1e-12
 _NEGATIVE_CLAMP = 1e-12
 
 _DEFAULT_MAX_DEGREE = 8
+
+# The beta density is not piecewise linear: the sampler inverts its
+# piecewise-linear interpolant on this many equispaced knots. Uniform and
+# table marginals are inverted on their own knots, exactly.
 _CDF_TABLE_KNOTS = 4096
+
+# Proposals drawn per rejection round, at most: memory per round stays fixed
+# whatever the requested count.
+_MAX_BATCH = 1 << 20
 
 
 class BoundViolationError(ValueError):
@@ -282,23 +290,48 @@ class SampleStats(NamedTuple):
     acceptance_rate: float
 
 
+def _density_knots(marginal: MarginalSpec) -> np.ndarray:
+    """Knots on which the marginal's density is, or is taken to be, piecewise linear."""
+    lo, hi = marginal.support
+    if marginal.kind == "beta":
+        return np.linspace(lo, hi, _CDF_TABLE_KNOTS)
+    if marginal.kind == "table":
+        # its end knots may lie up to 1e-12 outside the support
+        return np.clip(marginal.params[0], lo, hi)
+    return np.array([lo, hi])
+
+
 class _InverseCdfTable:
-    """Inverse CDF via a cumulative table with monotone linear interpolation."""
+    """Exact inverse CDF of the piecewise-linear density through the marginal's knots.
+
+    The CDF is the trapezoid sum F_k at the knots and quadratic in between:
+    F_k + f_k t + s_k t^2 / 2 at x_k + t, with f_k the density at x_k and s_k
+    the segment's slope (inversion of piecewise-linear densities; Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. II.2). Uniform and table
+    marginals are inverted exactly; beta through its interpolant on
+    ``_CDF_TABLE_KNOTS`` knots. Every draw stays inside its segment.
+    """
 
     def __init__(self, marginal: MarginalSpec):
-        lo, hi = marginal.support
-        self.x = np.linspace(lo, hi, _CDF_TABLE_KNOTS)
+        self.x = _density_knots(marginal)
         pdf = marginal.density(self.x)
-        segments = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(self.x)
+        width = np.diff(self.x)
+        segments = 0.5 * (pdf[1:] + pdf[:-1]) * width
         cdf = np.concatenate([[0.0], np.cumsum(segments)])
-        self.cdf = cdf / cdf[-1]
+        mass = cdf[-1]
+        self.cdf = cdf / mass
+        self.pdf = pdf[:-1] / mass
+        self.slope = np.diff(pdf) / (width * mass)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(self.cdf, u, side="right") - 1, 0, self.x.size - 2)
-        lo = self.cdf[i]
-        width = self.cdf[i + 1] - lo
-        frac = np.clip((u - lo) / np.where(width > 0.0, width, 1.0), 0.0, 1.0)
-        return self.x[i] + frac * (self.x[i + 1] - self.x[i])
+        r = u - self.cdf[i]
+        f = self.pdf[i]
+        # t = 2r / (f + sqrt(f^2 + 2 s r)) solves F_k + f t + s t^2 / 2 = u without
+        # cancellation; a zero denominator means r = 0 and so t = 0
+        root = f + np.sqrt(np.maximum(f * f + 2.0 * self.slope[i] * r, 0.0))
+        t = 2.0 * r / np.where(root > 0.0, root, np.inf)
+        return np.minimum(self.x[i] + t, self.x[i + 1])
 
 
 def sample_joint(
@@ -309,10 +342,12 @@ def sample_joint(
 ):
     """``count`` iid draws from the joint by rejection from the marginal product.
 
-    Proposals come from inverse-CDF tables of the marginals; a proposal
-    (x, y) is accepted with probability series_factor(x, y) / (1 + bound).
-    Output is deterministic for a fixed seed. With ``with_stats`` the samples
-    come paired with the proposal count and realized acceptance rate.
+    Proposals come from the exact inverse CDFs of the marginals (beta through
+    its piecewise-linear interpolant); a proposal (x, y) is accepted with
+    probability series_factor(x, y) / (1 + bound). Proposals are drawn in
+    rounds of at most ``_MAX_BATCH``. Output is deterministic for a fixed
+    seed. With ``with_stats`` the samples come paired with the proposal count
+    and realized acceptance rate.
     """
     if int(count) < 1:
         raise ValueError("count must be a positive integer")
@@ -326,7 +361,7 @@ def sample_joint(
     filled = 0
     proposed = 0
     while filled < count:
-        batch = max(4096, int((count - filled) * envelope * 1.2))
+        batch = min(_MAX_BATCH, max(4096, int((count - filled) * envelope * 1.2)))
         xs = inverse_x(rng.random(batch))
         ys = inverse_y(rng.random(batch))
         accept = rng.random(batch) * envelope < model.series_factor(xs, ys)

@@ -427,8 +427,14 @@ class TestInputLimits:
             ["maxcorr", "--fixture", "disc", "--grid", str(10**9)],
             ["sample", "--fixture", "fgm:0.2", "--count", str(10**12)],
             ["sample", "--fixture", "fgm:0.2", "--count", str(cli.MAX_COUNT + 1)],
+            ["bench", "--tol", "inf"],
+            ["bench", "--tol", "1.0"],
+            ["report", "--fixture", "fgm:0.2", "--tol", "1e300"],
         ],
-        ids=["grid-2049", "grid-1e9", "count-1e12", "count-limit-plus-one"],
+        ids=[
+            "grid-2049", "grid-1e9", "count-1e12", "count-limit-plus-one",
+            "tol-inf", "tol-1", "tol-1e300",
+        ],
     )
     def test_rejected_before_anything_runs(self, args, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the command ran"))
@@ -440,3 +446,4 @@ class TestInputLimits:
     def test_limits_themselves_are_accepted(self):
         assert cli.RunConfig("bench", grid=cli.MAX_GRID).grid == 2048
         assert cli.RunConfig("sample", count=cli.MAX_COUNT).count == 10_000_000
+        assert cli.RunConfig("bench", tol=cli.MAX_TOL).tol == 1e-3

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,6 +210,122 @@ class TestSampling:
     def test_rejects_nonpositive_count(self, ce_model):
         with pytest.raises(ValueError):
             sample_joint(ce_model, 0, seed=1)
+
+
+class TestBatchCap:
+    COUNT = 10_000
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """Cap rounds at 4096 proposals and record each round's (xs, ys)."""
+        monkeypatch.setattr(lancaster, "_MAX_BATCH", 4096)
+        seen = []
+        series_factor = lancaster.LancasterModel.series_factor
+
+        def spy(model, x, y):
+            seen.append((x, y))
+            return series_factor(model, x, y)
+
+        monkeypatch.setattr(lancaster.LancasterModel, "series_factor", spy)
+        return seen
+
+    def test_count_and_proposals_across_rounds(self, ce_model, rounds):
+        samples, stats = sample_joint(ce_model, self.COUNT, seed=5, with_stats=True)
+        assert samples.shape == (self.COUNT, 2)
+        sizes = [x.size for x, _ in rounds]
+        assert len(sizes) >= 3 and max(sizes) <= 4096
+        stream_x = np.concatenate([x for x, _ in rounds])
+        stream_y = np.concatenate([y for _, y in rounds])
+        assert sum(sizes[:-1]) < stats.proposals <= sum(sizes)
+        assert stats.acceptance_rate == self.COUNT / stats.proposals
+        # every draw is a proposal, in stream order, and the last one is the
+        # proposal the count stops at
+        position = {value: k for k, value in enumerate(stream_x.tolist())}
+        taken = np.array([position[value] for value in samples[:, 0].tolist()])
+        assert np.all(np.diff(taken) > 0)
+        assert taken[-1] == stats.proposals - 1
+        assert np.array_equal(stream_y[taken], samples[:, 1])
+
+    def test_same_seed_reproduces_samples(self, ce_model, rounds):
+        first = sample_joint(ce_model, self.COUNT, seed=9)
+        second = sample_joint(ce_model, self.COUNT, seed=9)
+        assert np.array_equal(first, second)
+
+    def test_independence_proposes_exactly_count(self, independence_model, rounds):
+        _, stats = sample_joint(independence_model, self.COUNT, seed=5, with_stats=True)
+        assert stats.proposals == self.COUNT
+        assert len(rounds) == 3
+
+
+def _table_cdf(marginal: MarginalSpec):
+    """Closed-form CDF of a piecewise-linear density: quadratic on each segment."""
+    knots, values = (np.asarray(p) for p in marginal.params)
+    width = np.diff(knots)
+    at_knots = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * width)])
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        k = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
+        t = x - knots[k]
+        slope = (values[k + 1] - values[k]) / width[k]
+        return at_knots[k] + values[k] * t + 0.5 * slope * t * t
+
+    return cdf
+
+
+_KINK_VALUES = np.array([0.0, 1.2, 0.4, 0.9, 0.0]) / 1.555  # trapezoid mass 1.555
+KINKED_TABLE = MarginalSpec("table", (0.0, 2.5), ((0.0, 0.3, 1.0, 1.7, 2.5), tuple(_KINK_VALUES)))
+UNIFORM_WIDE = MarginalSpec("uniform", (-3.0, 5.0))
+BETA23 = MarginalSpec("beta", (0.0, 1.0), (2.0, 3.0))
+
+
+class TestExactInversion:
+    """The sampler's inverse CDF against closed forms."""
+
+    @pytest.mark.parametrize(
+        "marginal, cdf",
+        [(UNIFORM_WIDE, lambda x: (x + 3.0) / 8.0), (KINKED_TABLE, _table_cdf(KINKED_TABLE))],
+        ids=["uniform", "table"],
+    )
+    def test_cdf_of_inverse_is_identity(self, marginal, cdf):
+        inverse = lancaster._InverseCdfTable(marginal)
+        u = np.random.default_rng(0).random(100_000)
+        assert np.max(np.abs(cdf(inverse(u)) - u)) <= 1e-13
+        knot_u = cdf(inverse.x)
+        assert np.max(np.abs(cdf(inverse(knot_u)) - knot_u)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "marginal", [UNIFORM_WIDE, KINKED_TABLE, BETA23], ids=["uniform", "table", "beta"]
+    )
+    def test_draws_stay_in_their_segment_and_the_support(self, marginal):
+        inverse = lancaster._InverseCdfTable(marginal)
+        u = np.concatenate([[0.0], inverse.cdf[:-1], [np.nextafter(1.0, 0.0)]])
+        x = inverse(u)
+        k = np.clip(np.searchsorted(inverse.cdf, u, side="right") - 1, 0, inverse.x.size - 2)
+        assert np.all((inverse.x[k] <= x) & (x <= inverse.x[k + 1]))
+        lo, hi = marginal.support
+        assert np.all((lo <= x) & (x <= hi))
+        assert x[0] == lo
+
+    def test_beta_inverse_is_nondecreasing(self):
+        inverse = lancaster._InverseCdfTable(BETA23)
+        knot_u = inverse.cdf[:-1]
+        u = np.concatenate(
+            [
+                np.random.default_rng(1).random(100_000),
+                knot_u,
+                np.nextafter(knot_u[1:], 0.0),
+                [0.0, np.nextafter(1.0, 0.0)],
+            ]
+        )
+        assert np.all(np.diff(inverse(np.sort(u))) >= 0.0)
+
+    def test_independence_draws_pass_ks_against_exact_marginals(self):
+        model = build_model(KINKED_TABLE, BETA23, (0.0,))
+        samples = sample_joint(model, 100_000, seed=23)
+        critical = scipy.stats.kstwobign.isf(0.01) / np.sqrt(samples.shape[0])
+        assert scipy.stats.kstest(samples[:, 0], _table_cdf(KINKED_TABLE)).statistic < critical
+        assert scipy.stats.kstest(samples[:, 1], scipy.stats.beta(2.0, 3.0).cdf).statistic < critical
 
 
 class TestModelConfig:
