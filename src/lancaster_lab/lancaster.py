@@ -345,12 +345,13 @@ def sample_joint(
     Proposals come from the exact inverse CDFs of the marginals (beta through
     its piecewise-linear interpolant); a proposal (x, y) is accepted with
     probability series_factor(x, y) / (1 + bound). Proposals are drawn in
-    rounds of at most ``_MAX_BATCH``. Output is deterministic for a fixed
-    seed. With ``with_stats`` the samples come paired with the proposal count
-    and realized acceptance rate.
+    rounds of at most ``_MAX_BATCH``. ``count`` must be an integer (bool and
+    other types are rejected). Output is deterministic for a fixed seed. With
+    ``with_stats`` the samples come paired with the proposal count and
+    realized acceptance rate.
     """
-    if int(count) < 1:
-        raise ValueError("count must be a positive integer")
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     count = int(count)
     rng = np.random.default_rng(seed)
     envelope = 1.0 + model.coeffs.bound_value

@@ -92,6 +92,15 @@ class MarginalSpec:
             a, b = (float(self.params[0]), float(self.params[1]))
             if not (a >= 1.0 and b >= 1.0 and math.isfinite(a) and math.isfinite(b)):
                 raise ValueError("beta parameters must be finite and >= 1 (bounded density)")
+            # the density's normalizer needs log Gamma(a + b), the largest of its three terms
+            try:
+                normalizable = math.isfinite(math.lgamma(a + b))
+            except OverflowError:
+                normalizable = False
+            if not normalizable:
+                raise ValueError(
+                    f"beta parameters too large: log Gamma(a + b) overflows at a + b = {a + b!r}"
+                )
             object.__setattr__(self, "params", (a, b))
         else:
             knots, values = self.params
@@ -355,6 +364,11 @@ def build_system(
     pi_prev = np.zeros_like(x)
     pi_cur = np.ones_like(x)
     norm2 = [float(np.sum(w))]
+    if not norm2[0] > 0.0:
+        raise DegenerateMarginalError(
+            f"degenerate-marginal: the {marginal.kind} density is zero on all {len(rule)}"
+            " quadrature nodes; the marginal is too concentrated for its rule"
+        )
     alphas: list[float] = []
     betas_monic: list[float] = []
     # far from 0 the monic iterates overflow; the finiteness check reports it

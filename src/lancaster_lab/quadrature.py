@@ -135,14 +135,14 @@ def _values_on(f: Callable, *axes: np.ndarray) -> np.ndarray:
     """f on the ``ij`` tensor grid of one or two node axes.
 
     f receives the open grid: with two axes of n and m nodes, arrays of shapes
-    (n, 1) and (1, m). It must broadcast them like a ufunc to an (n, m) result;
-    a callable that fails or returns another shape is evaluated point by
-    point instead, in row-major order.
+    (n, 1) and (1, m). It must broadcast them like a ufunc to an (n, m) result,
+    or to (k, n, m) when it has k components; a callable that fails or returns
+    another shape is evaluated point by point instead, in row-major order.
     """
     shape = tuple(axis.size for axis in axes)
     try:
         values = np.asarray(f(*np.meshgrid(*axes, indexing="ij", sparse=True)), dtype=float)
-        if values.shape == shape:
+        if values.shape[-len(shape) :] == shape and values.ndim <= len(shape) + 1:
             return values
     except (TypeError, ValueError, IndexError):
         pass

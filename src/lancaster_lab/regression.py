@@ -16,6 +16,7 @@ stay strictly linear while the maximal correlation exceeds |pearson|.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -91,7 +92,11 @@ def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np
 
     Expands the conditional density in the polynomial system, so the result
     is the marginal mean of h plus sum_n rho_n <h, phi_n> psi_n(y); vectorized
-    over y. Requires the conditioning marginal to be positive at y.
+    over y. ``h`` may be vector-valued: when its values on the n rule nodes
+    have shape (k, n), the k conditional expectations come back stacked along
+    the first axis. All projections <h, phi_n> and the series sum are two
+    matrix products. A callable that only takes scalars is evaluated node by
+    node. Requires the conditioning marginal to be positive at y.
     """
     y_arr = np.asarray(y, dtype=float)
     density_y = np.asarray(model.marginal_y.density(y_arr))
@@ -107,11 +112,12 @@ def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np
 
     n = len(model.coeffs)
     phi = model.system_x.evaluate_all(nodes, upto=n)
-    psi = model.system_y.evaluate_all(y_arr, upto=n)
-    result = float(weights @ h_vals) * np.ones_like(y_arr)
-    for k, r in enumerate(model.coeffs.rho, start=1):
-        result = result + r * float(weights @ (h_vals * phi[k])) * psi[k]
-    return result if y_arr.ndim else float(result)
+    psi = model.system_y.evaluate_all(y_arr, upto=n).reshape(n + 1, -1)
+    # projections <h, phi_k> for k = 0 .. n; the k = 0 one is the marginal mean
+    projections = (h_vals * weights) @ phi.T
+    factors = np.concatenate(([1.0], model.coeffs.rho))
+    result = ((projections * factors) @ psi).reshape(h_vals.shape[:-1] + y_arr.shape)
+    return result if result.ndim else float(result)
 
 
 def _rho_at(model: LancasterModel, n: int) -> float:
@@ -119,17 +125,66 @@ def _rho_at(model: LancasterModel, n: int) -> float:
     return model.coeffs.rho[n - 1] if n <= len(model.coeffs) else 0.0
 
 
-def _eigen_check_one(model: LancasterModel, n: int, direction: str) -> RegressionCheckResult:
-    rho_n = _rho_at(model, n)
+class _Conditioning(NamedTuple):
+    """One direction's conditioning pass, on a model oriented so that X is given Y.
+
+    Rows n - 1 of ``eigen`` and ``powers`` hold E(phi_n(X) | Y) and
+    E(X^n | Y) on the conditioning grid for n = 1 .. top; ``psi`` holds
+    psi_0 .. psi_top on the grid and ``monomials`` their monomial coefficients.
+    """
+
+    model: LancasterModel
+    direction: str
+    psi: np.ndarray
+    monomials: np.ndarray
+    eigen: np.ndarray
+    powers: np.ndarray
+
+
+def _condition(model: LancasterModel, direction: str) -> _Conditioning:
+    top = min(model.system_x.max_degree, model.system_y.max_degree)
     grid = _conditioning_grid(model.marginal_y.support)
-    lhs = conditional_expectation(model, lambda t: model.system_x.evaluate(n, t), grid)
-    rhs = rho_n * model.system_y.evaluate(n, grid)
+
+    def moments_of(t):
+        return np.concatenate(
+            [model.system_x.evaluate_all(t, upto=top)[1:], [t**n for n in range(1, top + 1)]]
+        )
+
+    moments = conditional_expectation(model, moments_of, grid)
+    return _Conditioning(
+        model=model,
+        direction=direction,
+        psi=model.system_y.evaluate_all(grid, upto=top),
+        monomials=model.system_y.monomial_coefficients(top),
+        eigen=moments[:top],
+        powers=moments[top:],
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _conditioning_passes(model: LancasterModel) -> tuple[_Conditioning, _Conditioning]:
+    """The (X given Y, Y given X) conditioning passes of the model checked last.
+
+    Every degree's eigen and polynomial checks read their rows from these, so
+    a report conditions once per direction, with one ``conditional_expectation``
+    call each, up to top = min(max_degree_x, max_degree_y). Models are
+    immutable and hash by identity, so one entry holds the passes of the
+    model a report is checking.
+    """
+    return (
+        _condition(model, "x_given_y"),
+        _condition(transpose_model(model), "y_given_x"),
+    )
+
+
+def _eigen_check_one(passes: _Conditioning, n: int) -> RegressionCheckResult:
+    rho_n = _rho_at(passes.model, n)
     return RegressionCheckResult(
         degree=n,
-        direction=direction,
+        direction=passes.direction,
         target_leading=float(rho_n),
         fitted_coeffs=None,
-        max_residual=float(np.max(np.abs(lhs - rhs))),
+        max_residual=float(np.max(np.abs(passes.eigen[n - 1] - rho_n * passes.psi[n]))),
     )
 
 
@@ -141,11 +196,8 @@ def check_eigen_regression(
     Both conditioning directions are evaluated; the results come back as the
     (X given Y, Y given X) pair.
     """
-    _require_degree(model, n)
-    return (
-        _eigen_check_one(model, n, "x_given_y"),
-        _eigen_check_one(transpose_model(model), n, "y_given_x"),
-    )
+    n = _require_degree(model, n)
+    return tuple(_eigen_check_one(passes, n) for passes in _conditioning_passes(model))
 
 
 def _checked_lstsq(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -159,19 +211,19 @@ def _checked_lstsq(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _poly_check_one(model: LancasterModel, n: int, direction: str) -> RegressionCheckResult:
-    grid = _conditioning_grid(model.marginal_y.support)
-    moments = conditional_expectation(model, lambda t: t**n, grid)
+def _poly_check_one(passes: _Conditioning, n: int) -> RegressionCheckResult:
+    model = passes.model
+    moments = passes.powers[n - 1]
     # fit in the orthonormal basis (monomial normal equations degrade fast),
     # convert to monomial coefficients only for reporting
-    design = model.system_y.evaluate_all(grid, upto=n).T
+    design = passes.psi[: n + 1].T
     coeff_ortho = _checked_lstsq(design, moments)
     fit_residual = float(np.max(np.abs(design @ coeff_ortho - moments)))
-    monomial = coeff_ortho @ model.system_y.monomial_coefficients(n)
+    monomial = coeff_ortho @ passes.monomials[: n + 1, : n + 1]
     target = _rho_at(model, n) * model.system_y.leading[n] / model.system_x.leading[n]
     return RegressionCheckResult(
         degree=n,
-        direction=direction,
+        direction=passes.direction,
         target_leading=float(target),
         fitted_coeffs=tuple(float(c) for c in monomial),
         max_residual=fit_residual,
@@ -188,17 +240,16 @@ def check_polynomial_regression(
     ``target_leading``. The remaining entries of ``fitted_coeffs`` are the
     lower-degree remainder polynomial.
     """
-    _require_degree(model, n)
-    return (
-        _poly_check_one(model, n, "x_given_y"),
-        _poly_check_one(transpose_model(model), n, "y_given_x"),
-    )
+    n = _require_degree(model, n)
+    return tuple(_poly_check_one(passes, n) for passes in _conditioning_passes(model))
 
 
-def _require_degree(model: LancasterModel, n: int) -> None:
+def _require_degree(model: LancasterModel, n: int) -> int:
+    """``n`` as an int; it must be an integer (bool excluded) in [1, top]."""
     top = min(model.system_x.max_degree, model.system_y.max_degree)
-    if not 1 <= int(n) <= top:
-        raise ValueError(f"degree-out-of-range: {n} not in [1, {top}]")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= top:
+        raise ValueError(f"degree-out-of-range: {n!r} is not an integer in [1, {top}]")
+    return int(n)
 
 
 def check_linear_regression(model: LancasterModel) -> LinearRegressionResult:

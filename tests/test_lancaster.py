@@ -464,3 +464,14 @@ class TestQuadNodesRoundTrip:
     def test_default_count_is_left_out(self, ce_model):
         assert "quad_nodes" not in model_to_config(ce_model)
         assert transpose_model(ce_model).quad_nodes == ce_model.quad_nodes == 128
+
+
+class TestIntegerSampleCounts:
+    @pytest.mark.parametrize("count", [2.7, 2.0, True, "3", None])
+    def test_non_integer_counts_are_rejected(self, ce_model, count):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            sample_joint(ce_model, count, 0)
+
+    def test_numpy_integers_are_accepted(self, ce_model):
+        samples = sample_joint(ce_model, np.int64(5), 0)
+        assert samples.tobytes() == sample_joint(ce_model, 5, 0).tobytes()

@@ -307,3 +307,16 @@ class TestOrthonormalityFailure:
         # rounding of x - a_k near 1e5, not the rule size, sets the residual
         with pytest.raises(OrthonormalityError, match="quad_nodes 512"):
             build_system(MarginalSpec("uniform", (1e5, 100001.0)), 8, quad_nodes=512)
+
+
+class TestMassOnTheRule:
+    def test_a_density_zero_on_every_node_is_degenerate(self):
+        # beta(8296574, 3) underflows to 0 at all 128 nodes; the Stieltjes
+        # step used to divide by its zero mass
+        with pytest.raises(DegenerateMarginalError, match="zero on all 128 quadrature nodes"):
+            build_system(MarginalSpec("beta", (0.0, 1.0), (8296574.0, 3.0)), 4)
+
+    @pytest.mark.parametrize("params", [(2.56e305, 3.0), (1e308, 1e308)])
+    def test_beta_parameters_whose_normalizer_overflows_are_rejected(self, params):
+        with pytest.raises(ValueError, match="beta parameters too large"):
+            MarginalSpec("beta", (0.0, 1.0), params)

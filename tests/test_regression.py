@@ -1,7 +1,13 @@
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lancaster_lab.lancaster import build_model
+import lancaster_lab
+from lancaster_lab import regression
+from lancaster_lab.lancaster import build_model, model_from_config
 from lancaster_lab.orthopoly import MarginalSpec
 from lancaster_lab.quadrature import gauss_legendre_rule, integrate
 from lancaster_lab.regression import (
@@ -208,3 +214,137 @@ class TestLinearRegressionReadsTheDegreeOneFits:
         assert (result.a0, result.a1) == fit_x.fitted_coeffs
         assert (result.b0, result.b1) == fit_y.fitted_coeffs
         assert result.residual == max(fit_x.max_residual, fit_y.max_residual)
+
+
+@pytest.fixture(scope="module")
+def deep_model():
+    """Config (d) of the verify-models benchmark for seed 7: uniform x beta, N = 12, max_degree 16."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = workloads.model_configs(lancaster_lab, np.random.default_rng(7))[3]
+    assert cfg["rho_builder"]["N"] == 12 and cfg["max_degree"] == 16
+    return model_from_config(cfg)
+
+
+def per_k_loop(model, h, y):
+    """E(h(X) | Y = y) by the one-term-at-a-time series sum, for one scalar-valued h."""
+    nodes = model.rule_x.nodes
+    weights = model.rule_x.weights * model.marginal_x.density(nodes)
+    h_vals = h(nodes)
+    n = len(model.coeffs)
+    phi = model.system_x.evaluate_all(nodes, upto=n)
+    psi = model.system_y.evaluate_all(y, upto=n)
+    result = float(weights @ h_vals) * np.ones_like(y)
+    for k, r in enumerate(model.coeffs.rho, start=1):
+        result = result + r * float(weights @ (h_vals * phi[k])) * psi[k]
+    return result
+
+
+def _assert_rows_close(stacked, reference, floor=0.0):
+    # each row within 1e-15 of its own largest magnitude, plus an absolute floor
+    scale = np.max(np.abs(reference), axis=-1, keepdims=True)
+    assert np.all(np.abs(stacked - reference) <= 1e-15 * scale + floor)
+
+
+class TestOneConditioningPassPerDirection:
+    def test_a_report_conditions_once_per_direction(self, deep_model, monkeypatch):
+        calls = []
+
+        def spy(model, h, y):
+            calls.append(model)
+            return conditional_expectation(model, h, y)
+
+        regression._conditioning_passes.cache_clear()
+        monkeypatch.setattr(regression, "conditional_expectation", spy)
+        report = counterexample_report(deep_model)
+        assert len(calls) == 2
+        assert calls[0] is deep_model
+        assert calls[1].marginal_x is deep_model.marginal_y
+        assert len(report.degree_checks) == 12
+
+    def test_stacked_rows_match_single_calls_and_the_per_k_loop(self, deep_model):
+        grid = np.linspace(*deep_model.marginal_y.support, 103)[1:-1]
+        lo, hi = deep_model.marginal_x.support
+        scalar_hs = [lambda t, n=n: t**n for n in range(1, 13)]
+        scalar_hs += [np.exp, lambda t: np.cos(3.0 * (t - lo) / (hi - lo))]
+        stacked = conditional_expectation(
+            deep_model, lambda t: np.stack([h(t) for h in scalar_hs]), grid
+        )
+        assert stacked.shape == (len(scalar_hs), grid.size)
+        single = np.stack([conditional_expectation(deep_model, h, grid) for h in scalar_hs])
+        loop = np.stack([per_k_loop(deep_model, h, grid) for h in scalar_hs])
+        _assert_rows_close(stacked, single)
+        _assert_rows_close(stacked, loop)
+
+    def test_eigen_rows_agree_to_the_orthogonality_noise(self, deep_model):
+        # E(phi_n | Y) is rho_n psi_n: for small rho_n the row is tiny, and both
+        # routes carry the rounding of the near-zero projections <phi_n, phi_k>
+        # (up to about 1e-16 absolute), which no other summation order reproduces
+        grid = np.linspace(*deep_model.marginal_y.support, 103)[1:-1]
+        system = deep_model.system_x
+        stacked = conditional_expectation(
+            deep_model, lambda t: system.evaluate_all(t, upto=12)[1:], grid
+        )
+        loop = np.stack(
+            [per_k_loop(deep_model, lambda t, n=n: system.evaluate(n, t), grid) for n in range(1, 13)]
+        )
+        _assert_rows_close(stacked, loop, floor=2e-16)
+
+    def test_scalar_only_h_falls_back_to_pointwise_evaluation(self, ce_model):
+        grid = np.array([0.2, 0.5, 0.8])
+        with pytest.raises(TypeError):
+            math.exp(ce_model.rule_x.nodes)
+        pointwise = conditional_expectation(ce_model, math.exp, grid)
+        vectorized = conditional_expectation(ce_model, np.exp, grid)
+        assert pointwise.shape == (3,)
+        np.testing.assert_allclose(pointwise, vectorized, rtol=1e-14, atol=0.0)
+        _assert_rows_close(pointwise, per_k_loop(ce_model, np.exp, grid))
+        assert isinstance(conditional_expectation(ce_model, math.exp, 0.5), float)
+
+    def test_vector_h_at_one_point_gives_one_value_per_row(self, ce_model):
+        value = conditional_expectation(ce_model, lambda t: np.stack([t, t * t]), 0.3)
+        assert value.shape == (2,)
+        assert value[0] == pytest.approx(conditional_expectation(ce_model, lambda t: t, 0.3), rel=1e-14)
+
+    def test_alternating_models_get_their_own_checks(self, uniform01):
+        first = build_model(uniform01, uniform01, (0.05, 0.15))
+        second = build_model(uniform01, uniform01, (0.15, 0.05))
+        regression._conditioning_passes.cache_clear()
+        seen = []
+        for _ in range(2):
+            for model in (first, second):
+                seen.append(
+                    (
+                        model,
+                        check_eigen_regression(model, 2),
+                        check_polynomial_regression(model, 1),
+                        check_linear_regression(model),
+                    )
+                )
+        assert seen[0][1][0].target_leading == 0.15
+        assert seen[1][1][0].target_leading == 0.05
+        assert seen[0][2][0].fitted_leading == pytest.approx(0.05, rel=1e-9)
+        assert seen[1][2][0].fitted_leading == pytest.approx(0.15, rel=1e-9)
+        for model, eigen, poly, linear in seen:
+            regression._conditioning_passes.cache_clear()
+            assert check_eigen_regression(model, 2) == eigen
+            regression._conditioning_passes.cache_clear()
+            assert check_polynomial_regression(model, 1) == poly
+            regression._conditioning_passes.cache_clear()
+            assert check_linear_regression(model) == linear
+
+
+class TestIntegerDegrees:
+    @pytest.mark.parametrize("degree", [1.5, 2.0, True, False, "2", None])
+    @pytest.mark.parametrize("check", [check_eigen_regression, check_polynomial_regression])
+    def test_non_integer_degrees_are_out_of_range(self, ce_model, check, degree):
+        with pytest.raises(ValueError, match="degree-out-of-range"):
+            check(ce_model, degree)
+
+    @pytest.mark.parametrize("check", [check_eigen_regression, check_polynomial_regression])
+    def test_numpy_integers_are_accepted(self, ce_model, check):
+        results = check(ce_model, np.int64(2))
+        assert results == check(ce_model, 2)
+        assert all(type(result.degree) is int for result in results)
