@@ -16,8 +16,7 @@ on stderr.
 
 CSV output uses '.' decimals, 17 significant digits and LF line endings so
 doubles round-trip losslessly and runs diff cleanly. Files are written
-atomically (temp file + rename). The environment variable
-LANCASTER_LAB_THREADS caps BLAS parallelism when set before start-up.
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -164,7 +164,9 @@ def _cmd_validate(config: RunConfig) -> int:
         bound = exc.bound_value
         ok = False
     if config.format == "json":
-        _emit(config, _json_text({"bound_value": bound, "pass": ok}))
+        # JSON has no infinity: a bound past the float range is written as null
+        finite_bound = bound if math.isfinite(bound) else None
+        _emit(config, _json_text({"bound_value": finite_bound, "pass": ok}))
     else:
         _emit(config, f"bound_value={_fmt(bound)} {'pass' if ok else 'fail'}\n")
     if not ok:

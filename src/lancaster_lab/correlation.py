@@ -3,11 +3,13 @@
 The maximal correlation of a pair (X, Y) is the largest Pearson correlation
 achievable by square-integrable non-degenerate transformations g1(X), g2(Y).
 It equals the operator norm of the conditional-expectation operator on
-mean-zero functions. On a quadrature grid that operator becomes the matrix
+mean-zero functions. On a finite law of point masses P_ij (a density f on a
+quadrature grid with weights u, v has P_ij = u_i f(x_i, y_j) v_j) that
+operator becomes the matrix
 
-    A_ij = f(x_i, y_j) sqrt(u_i v_j) / sqrt(m_i mu_j),
+    A_ij = P_ij / sqrt(p_i q_j),
 
-with u, v the quadrature weights and m, mu the discretized marginals. A has
+with p, q the row and column sums of P, its marginals. A has
 largest singular value exactly 1, carried by the constants; the second
 singular value is the maximal correlation and the corresponding singular
 vectors are the optimizing transformations. ACE (alternating conditional
@@ -18,7 +20,7 @@ third, closed-form value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,46 +79,35 @@ class AceConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedJoint:
-    """A bivariate density sampled on a tensor quadrature grid.
+    """A finite bivariate law: point masses on a tensor grid of nodes.
 
-    joint_values[i, j] = f(x_nodes[i], y_nodes[j]); the marginal vectors hold
-    the row and column quadrature sums. Invariants: nonnegative values, total
-    weighted mass 1 within 1e-6, strictly positive marginals at every node.
+    masses[i, j] is the probability of (x_nodes[i], y_nodes[j]); for a density
+    f sampled on a quadrature grid with weights u, v it is u_i f(x_i, y_j) v_j.
+    The marginals are the row and column sums of the masses, computed here.
+    Invariants: finite nonnegative masses, total 1 within 1e-6, positive mass
+    in every row and column.
     """
 
     x_nodes: np.ndarray
-    x_weights: np.ndarray
     y_nodes: np.ndarray
-    y_weights: np.ndarray
-    joint_values: np.ndarray
-    marginal_x_values: np.ndarray
-    marginal_y_values: np.ndarray
+    masses: np.ndarray
+    marginal_x: np.ndarray = field(init=False)
+    marginal_y: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in (
-            "x_nodes",
-            "x_weights",
-            "y_nodes",
-            "y_weights",
-            "joint_values",
-            "marginal_x_values",
-            "marginal_y_values",
-        ):
+        for name in ("x_nodes", "y_nodes", "masses"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        nx, ny = self.x_nodes.size, self.y_nodes.size
-        if self.joint_values.shape != (nx, ny):
-            raise ValueError("joint_values must have shape (len(x_nodes), len(y_nodes))")
-        if self.x_weights.shape != (nx,) or self.y_weights.shape != (ny,):
-            raise ValueError("weight vectors must match their node vectors")
-        if self.marginal_x_values.shape != (nx,) or self.marginal_y_values.shape != (ny,):
-            raise ValueError("marginal vectors must match their node vectors")
-        if np.any(self.joint_values < 0.0) or not np.all(np.isfinite(self.joint_values)):
-            raise ValueError("joint_values must be finite and nonnegative")
-        if np.any(self.marginal_x_values <= 0.0) or np.any(self.marginal_y_values <= 0.0):
-            raise ValueError("marginal values must be strictly positive at every retained node")
-        mass = float(self.x_weights @ self.joint_values @ self.y_weights)
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise ValueError(f"total weighted mass is {mass!r}, expected 1 within {_MASS_TOL}")
+        if self.masses.shape != (self.x_nodes.size, self.y_nodes.size):
+            raise ValueError("masses must have shape (len(x_nodes), len(y_nodes))")
+        if np.any(self.masses < 0.0) or not np.all(np.isfinite(self.masses)):
+            raise ValueError("masses must be finite and nonnegative")
+        object.__setattr__(self, "marginal_x", self.masses.sum(axis=1))
+        object.__setattr__(self, "marginal_y", self.masses.sum(axis=0))
+        if np.any(self.marginal_x <= 0.0) or np.any(self.marginal_y <= 0.0):
+            raise ValueError("every row and column of masses must carry positive mass")
+        total = float(np.sum(self.marginal_x))
+        if abs(total - 1.0) > _MASS_TOL:
+            raise ValueError(f"total mass is {total!r}, expected 1 within {_MASS_TOL}")
 
 
 def discretize_joint(
@@ -124,11 +115,11 @@ def discretize_joint(
     support: tuple[tuple[float, float], tuple[float, float]],
     nodes_per_axis: int,
 ) -> DiscretizedJoint:
-    """Sample a density on a Gauss-Legendre tensor grid over a rectangle.
+    """Point masses of a density on a Gauss-Legendre tensor grid over a rectangle.
 
     The density may vanish on part of the rectangle (curved regions are
     embedded in their bounding box). Mass is renormalized to 1 and nodes
-    whose marginal falls below 1e-12 are dropped.
+    whose marginal density falls below 1e-12 are dropped.
     """
     if int(nodes_per_axis) < 16:
         raise ValueError("nodes_per_axis must be at least 16")
@@ -138,31 +129,24 @@ def discretize_joint(
     values = _values_on(density, rule_x.nodes, rule_y.nodes)
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError("density must be finite and nonnegative on the grid")
-    mass = float(rule_x.weights @ values @ rule_y.weights)
+    # P is one new array, scaled in place from here on; dropping the density
+    # values keeps a second n x n array from staying alive beside it
+    masses = values * rule_x.weights[:, None]
+    del values
+    masses *= rule_y.weights
+    mass = float(np.sum(masses))
     if mass < _ZERO_MASS:
         raise ValueError(f"zero-mass: total mass on the grid is {mass!r}")
 
-    marginal_x = values @ rule_y.weights / mass
-    marginal_y = rule_x.weights @ values / mass
-    keep_x = marginal_x >= _MARGINAL_FLOOR
-    keep_y = marginal_y >= _MARGINAL_FLOOR
-    values = values[keep_x][:, keep_y]
-    x_nodes, x_weights = rule_x.nodes[keep_x], rule_x.weights[keep_x]
-    y_nodes, y_weights = rule_y.nodes[keep_y], rule_y.weights[keep_y]
-
-    mass = float(x_weights @ values @ y_weights)
+    # a marginal density below the floor is a row (column) mass below floor * mass * weight
+    keep_x = np.sum(masses, axis=1) >= _MARGINAL_FLOOR * mass * rule_x.weights
+    keep_y = np.sum(masses, axis=0) >= _MARGINAL_FLOOR * mass * rule_y.weights
+    masses = masses[np.ix_(keep_x, keep_y)]
+    mass = float(np.sum(masses))
     if mass < _ZERO_MASS:
         raise ValueError(f"zero-mass: total mass after node dropping is {mass!r}")
-    values = values / mass
-    return DiscretizedJoint(
-        x_nodes=x_nodes,
-        x_weights=x_weights,
-        y_nodes=y_nodes,
-        y_weights=y_weights,
-        joint_values=values,
-        marginal_x_values=values @ y_weights,
-        marginal_y_values=x_weights @ values,
-    )
+    masses /= mass
+    return DiscretizedJoint(rule_x.nodes[keep_x], rule_y.nodes[keep_y], masses)
 
 
 def discretize_model(model: LancasterModel, nodes_per_axis: int = DEFAULT_MODEL_GRID) -> DiscretizedJoint:
@@ -175,7 +159,7 @@ def discretize_model(model: LancasterModel, nodes_per_axis: int = DEFAULT_MODEL_
 
 
 def joint_from_pmf(pmf, x_values=None, y_values=None) -> DiscretizedJoint:
-    """Wrap a finite pmf matrix as a DiscretizedJoint with unit weights.
+    """Wrap a finite pmf matrix as a DiscretizedJoint.
 
     Lets the spectral and ACE machinery run unchanged on discrete laws.
     Zero-probability rows and columns are trimmed.
@@ -187,39 +171,24 @@ def joint_from_pmf(pmf, x_values=None, y_values=None) -> DiscretizedJoint:
     y = np.arange(p.shape[1], dtype=float) if y_values is None else np.asarray(y_values, dtype=float)
     keep_x = p.sum(axis=1) > 0.0
     keep_y = p.sum(axis=0) > 0.0
-    p = p[keep_x][:, keep_y]
-    x, y = x[keep_x], y[keep_y]
-    return DiscretizedJoint(
-        x_nodes=x,
-        x_weights=np.ones_like(x),
-        y_nodes=y,
-        y_weights=np.ones_like(y),
-        joint_values=p,
-        marginal_x_values=p.sum(axis=1),
-        marginal_y_values=p.sum(axis=0),
-    )
+    return DiscretizedJoint(x[keep_x], y[keep_y], p[np.ix_(keep_x, keep_y)])
 
 
 # -- Pearson ---------------------------------------------------------------
 
 
 def pearson(joint: DiscretizedJoint) -> float:
-    """Covariance over the product of standard deviations, by grid quadrature."""
-    wx = joint.x_weights * joint.marginal_x_values
-    wy = joint.y_weights * joint.marginal_y_values
-    mean_x = float(wx @ joint.x_nodes)
-    mean_y = float(wy @ joint.y_nodes)
-    var_x = float(wx @ (joint.x_nodes - mean_x) ** 2)
-    var_y = float(wy @ (joint.y_nodes - mean_y) ** 2)
+    """Covariance over the product of standard deviations, summed over the masses."""
+    p, q = joint.marginal_x, joint.marginal_y
+    mean_x = float(p @ joint.x_nodes)
+    mean_y = float(q @ joint.y_nodes)
+    var_x = float(p @ (joint.x_nodes - mean_x) ** 2)
+    var_y = float(q @ (joint.y_nodes - mean_y) ** 2)
     if var_x <= 1e-12 or var_y <= 1e-12:
         raise ValueError(
             "degenerate-variance: correlation is undefined for (nearly) constant coordinates"
         )
-    cross = float(
-        (joint.x_weights * (joint.x_nodes - mean_x))
-        @ joint.joint_values
-        @ (joint.y_weights * (joint.y_nodes - mean_y))
-    )
+    cross = float((joint.x_nodes - mean_x) @ joint.masses @ (joint.y_nodes - mean_y))
     return cross / float(np.sqrt(var_x * var_y))
 
 
@@ -227,9 +196,7 @@ def pearson(joint: DiscretizedJoint) -> float:
 
 
 def _kernel_matrix(joint: DiscretizedJoint) -> np.ndarray:
-    root_x = np.sqrt(joint.x_weights / joint.marginal_x_values)
-    root_y = np.sqrt(joint.y_weights / joint.marginal_y_values)
-    return joint.joint_values * root_x[:, None] * root_y[None, :]
+    return joint.masses / np.sqrt(joint.marginal_x)[:, None] / np.sqrt(joint.marginal_y)
 
 
 def _standardize(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -247,7 +214,7 @@ def _orient_pair(g1, g2, joint: DiscretizedJoint):
     when the inner product with the identity is itself zero (symmetric
     optimizers such as even functions on symmetric supports).
     """
-    weights = joint.x_weights * joint.marginal_x_values
+    weights = joint.marginal_x
     for reference in (joint.x_nodes, joint.x_nodes**2):
         score = float(weights @ (g1 * _standardize(reference, weights)))
         if abs(score) > 1e-9:
@@ -300,10 +267,9 @@ def maxcorr_svd(joint: DiscretizedJoint, vectors: bool = True) -> SvdResult:
         )
     if not vectors:
         return SvdResult(R=float(spectrum[1]), g1_values=None, g2_values=None, spectrum=spectrum)
-    wx = joint.x_weights * joint.marginal_x_values
-    wy = joint.y_weights * joint.marginal_y_values
-    g1 = _standardize(left[:, 1] / np.sqrt(wx), wx)
-    g2 = _standardize(right_t[1] / np.sqrt(wy), wy)
+    p, q = joint.marginal_x, joint.marginal_y
+    g1 = _standardize(left[:, 1] / np.sqrt(p), p)
+    g2 = _standardize(right_t[1] / np.sqrt(q), q)
     g1, g2 = _orient_pair(g1, g2, joint)
     return SvdResult(R=float(spectrum[1]), g1_values=g1, g2_values=g2, spectrum=spectrum)
 
@@ -358,28 +324,23 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 1000, tol: float = 1e-
         raise ValueError("tol must be positive")
     if int(max_iters) < 1:
         raise ValueError("max_iters must be >= 1")
-    values = joint.joint_values
-    u, v = joint.x_weights, joint.y_weights
-    m, mu = joint.marginal_x_values, joint.marginal_y_values
-    wx, wy = u * m, v * mu
-    # the weighted kernels are the same every sweep, so they are built once
-    to_x = values * v[None, :]
-    to_y = (values * u[:, None]).T
-    g2 = _ace_start(joint.y_nodes, wy)
+    masses = joint.masses
+    p, q = joint.marginal_x, joint.marginal_y
+    g2 = _ace_start(joint.y_nodes, q)
 
     estimate = None
     gap = float("nan")
     for iteration in range(1, int(max_iters) + 1):
-        h1 = to_x @ g2 / m
-        h1 = h1 - float(wx @ h1) / float(np.sum(wx))
-        var1 = float(wx @ h1**2)
+        h1 = masses @ g2 / p
+        h1 = h1 - float(p @ h1) / float(np.sum(p))
+        var1 = float(p @ h1**2)
         if var1 <= 1e-26:
             zero = np.zeros_like(h1)
             return AceResult(R=0.0, g1_values=zero, g2_values=np.zeros_like(g2), iterations=iteration)
-        g1 = h1 / np.sqrt(var1 / float(np.sum(wx)))
-        h2 = to_y @ g1 / mu
-        g2 = _standardize(h2, wy)
-        new_estimate = float((u * g1) @ values @ (v * g2))
+        g1 = h1 / np.sqrt(var1 / float(np.sum(p)))
+        h2 = g1 @ masses / q
+        g2 = _standardize(h2, q)
+        new_estimate = float(g1 @ masses @ g2)
         if estimate is not None:
             gap = abs(new_estimate - estimate)
             if gap <= tol:

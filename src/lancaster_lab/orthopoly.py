@@ -75,6 +75,8 @@ class MarginalSpec:
     def __post_init__(self):
         if self.kind not in MARGINAL_KINDS:
             raise ValueError(f"unknown marginal kind {self.kind!r}; expected one of {MARGINAL_KINDS}")
+        if len(self.support) != 2:
+            raise ValueError(f"marginal support must be a pair [alpha, omega], got {self.support!r}")
         lo, hi = (float(self.support[0]), float(self.support[1]))
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             raise ValueError(f"support must be a bounded interval with alpha < omega, got {self.support!r}")
@@ -385,7 +387,7 @@ def build_system(
             if not math.isfinite(beta_next):
                 raise ValueError(
                     f"stieltjes-overflow: the recurrence overflows at degree {k + 1} on the"
-                    f" support {marginal.support!r}; shift the support nearer to 0"
+                    f" support {marginal.support!r}; shift the support nearer to 0 or narrow it"
                 )
             if beta_next <= _DEGENERATE_BETA:
                 raise DegenerateMarginalError(

@@ -43,6 +43,8 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         a, b = self.interval
+        if not a < b:
+            raise ValueError(f"interval must have a < b, got {self.interval!r}")
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
             raise ValueError("nodes and weights must be 1-d arrays of equal nonzero length")
         if np.any(nodes < a) or np.any(nodes > b):
@@ -51,8 +53,10 @@ class QuadratureRule:
             raise ValueError("all weights must be positive")
         if np.any(np.diff(nodes) < 0.0):
             raise ValueError("nodes must be in ascending order")
-        # tolerance is relative for very long intervals, absolute otherwise
-        if abs(float(np.sum(weights)) - (b - a)) > 1e-12 * max(1.0, abs(b - a)):
+        # tolerance is relative for very long intervals, absolute otherwise; the
+        # weights are summed as fractions of the width, so the sum cannot overflow
+        width = b - a
+        if abs(float(np.sum(weights / width)) - 1.0) * min(1.0, width) > 1e-12:
             raise ValueError("weights must sum to the interval length")
 
     def __len__(self) -> int:

@@ -55,6 +55,22 @@ class TestValidate:
         assert payload["pass"] is True
         assert payload["bound_value"] == pytest.approx(0.9, abs=1e-9)
 
+    def test_overflowing_coefficient_writes_a_null_bound_without_warnings(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        cfg["rho"] = [0.05, 3.6e307]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", "--model", _write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert json.loads(captured.out, parse_constant=reject) == {"bound_value": None, "pass": False}
+        assert caught == []
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bound-violated: ")
+
 
 class TestReport:
     def test_report_fields_and_values(self, model_file, tmp_path):
@@ -344,16 +360,19 @@ class TestSupportsFarFromZero:
         assert main(["report", "--model", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["counterexample_confirmed"] is True
 
-    def test_overflowing_support_ends_in_one_line_naming_the_overflow(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "support", [[1e308, 1.7e308], [0.0, 1.7976931348623155e308]], ids=["far", "widest"]
+    )
+    def test_overflowing_support_ends_in_one_line_naming_the_overflow(self, tmp_path, capsys, support):
         cfg = json.loads(json.dumps(HEADLINE_CONFIG))
-        cfg["marginal_x"]["support"] = [1e308, 1.7e308]
+        cfg["marginal_x"]["support"] = support
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["report", "--model", _write_config(tmp_path, cfg)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert caught == []
         assert len(lines) == 1 and lines[0].startswith("error: config-error: stieltjes-overflow: ")
-        assert "1e+308" in lines[0]
+        assert repr(tuple(support)) in lines[0]
 
 
 class TestEmbeddedModelReloads:

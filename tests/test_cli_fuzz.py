@@ -1,10 +1,11 @@
 """Fuzz of the CLI boundary: malformed model configs and flag values.
 
 Every failure must end in exactly one ``error:`` line on stderr and an exit
-code in {1, 2, 3}; a run that succeeds prints no error line. Configs are run
-for real, with integers kept small so that a config that happens to be valid
-builds quickly. Flag values of any size go only through the argument parser
-and ``RunConfig``'s limits: ``run`` is patched, so nothing is allocated.
+code in {1, 2, 3}; a run that succeeds prints no error line, and no run
+raises a warning. Configs are run for real, with integers kept small so that
+a config that happens to be valid builds quickly. Flag values of any size go
+only through the argument parser and ``RunConfig``'s limits: ``run`` is
+patched, so nothing is allocated.
 """
 
 import contextlib
@@ -12,9 +13,10 @@ import copy
 import io
 import json
 import os
+import warnings
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lancaster_lab import cli
@@ -81,17 +83,20 @@ def malformed_configs(draw):
 
 
 def _invoke(argv):
-    """(exit code, stderr lines) of one ``main`` call."""
+    """(exit code, stderr lines, warnings raised) of one ``main`` call."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # the argument parser's own errors
-            code = exc.code
-    return code, err.getvalue().splitlines()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # the argument parser's own errors
+                code = exc.code
+    return code, err.getvalue().splitlines(), caught
 
 
-def _assert_one_outcome(code, lines):
+def _assert_one_outcome(code, lines, caught):
+    assert [str(warning.message) for warning in caught] == []
     errors = [line for line in lines if "error:" in line]
     if code == 0:
         assert errors == []
@@ -106,13 +111,24 @@ def _assert_one_outcome(code, lines):
         [["validate"], ["report", "--grid", "16"], ["sample", "--count", "8"], ["maxcorr", "--grid", "16"]]
     ),
 )
+@example(
+    cfg={"marginal_x": UNIFORM, "marginal_y": UNIFORM, "rho": [0.05, 3.6e307]},
+    command=["validate"],
+)
+@example(
+    cfg={
+        "marginal_x": {"kind": "uniform", "support": [0, 1.7976931348623155e308]},
+        "marginal_y": UNIFORM,
+        "rho": [0.05, 0.15],
+    },
+    command=["report", "--grid", "16"],
+)
 @settings(max_examples=60)
 def test_malformed_configs_end_in_one_error_line(tmp_path_factory, cfg, command):
     path = os.path.join(tmp_path_factory.getbasetemp(), "fuzz-model.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(cfg, handle)
-    code, lines = _invoke([command[0], "--model", path, *command[1:]])
-    _assert_one_outcome(code, lines)
+    _assert_one_outcome(*_invoke([command[0], "--model", path, *command[1:]]))
 
 
 FLAG_VALUES = {
@@ -147,14 +163,14 @@ def test_flag_values_meet_the_limits_or_end_in_one_error_line(command, flags):
         return 0
 
     with mock.patch.object(cli, "run", record):
-        code, lines = _invoke(argv)
+        code, lines, caught = _invoke(argv)
     if reached:
         config = reached[0]
-        assert code == 0 and lines == []
+        assert code == 0 and lines == [] and caught == []
         assert config.grid is None or 16 <= config.grid <= cli.MAX_GRID
         assert 1 <= config.count <= cli.MAX_COUNT
         assert 0.0 < config.tol <= cli.MAX_TOL
         assert config.format in ("csv", "json")
     else:
-        _assert_one_outcome(code, lines)
+        _assert_one_outcome(code, lines, caught)
         assert code in (1, 2)

@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lancaster_lab.correlation import (
-    _REPORT_ACE_MAX_ITERS,
     AceConvergenceError,
-    AceResult,
     DiscretizedJoint,
     SpectralFailureError,
-    _ace_start,
-    _orient_pair,
-    _standardize,
     correlation_report,
     discretize_joint,
     discretize_model,
@@ -24,6 +19,7 @@ from lancaster_lab.correlation import (
     singular_spectrum,
 )
 from lancaster_lab.fixtures import BENCH_FIXTURES, resolve_fixture
+from lancaster_lab.quadrature import gauss_legendre_rule
 
 UNIT_BOX = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -39,6 +35,12 @@ def diamond_density(x, y):
 FOURPOINT = np.array([[0.0, 0.25, 0.0], [0.25, 0.0, 0.25], [0.0, 0.25, 0.0]])
 
 
+def marginal_density(marginal, nodes, nodes_per_axis, interval):
+    """A marginal's masses over the quadrature weights of the retained nodes."""
+    rule = gauss_legendre_rule(nodes_per_axis, *interval)
+    return marginal / rule.weights[np.isin(rule.nodes, nodes)]
+
+
 @pytest.fixture(scope="module")
 def ce_joint(ce_model):
     return discretize_model(ce_model, 200)
@@ -52,32 +54,31 @@ def disc_joint():
 class TestDiscretizeJoint:
     def test_uniform_square_marginals(self):
         joint = discretize_joint(lambda x, y: np.ones_like(x), ((0.0, 1.0), (0.0, 1.0)), 64)
-        np.testing.assert_allclose(joint.marginal_x_values, 1.0, atol=1e-10)
-        np.testing.assert_allclose(joint.marginal_y_values, 1.0, atol=1e-10)
+        for marginal, nodes in ((joint.marginal_x, joint.x_nodes), (joint.marginal_y, joint.y_nodes)):
+            np.testing.assert_allclose(marginal_density(marginal, nodes, 64, (0.0, 1.0)), 1.0, atol=1e-10)
 
     def test_disc_marginal_matches_analytic_semicircle(self, disc_joint):
         expected = 2.0 * np.sqrt(np.clip(1.0 - disc_joint.x_nodes**2, 0.0, None)) / np.pi
         interior = np.abs(disc_joint.x_nodes) <= 0.95
-        error = np.abs(disc_joint.marginal_x_values - expected)
+        density = marginal_density(disc_joint.marginal_x, disc_joint.x_nodes, 400, (-1.0, 1.0))
+        error = np.abs(density - expected)
         # boundary staircase dominates; interior nodes see only the O(1/n) jump error
         assert np.max(error[interior]) < 0.02
 
     def test_model_marginals_recovered_to_quadrature_accuracy(self, ce_model):
         joint = discretize_model(ce_model, 64)
-        np.testing.assert_allclose(
-            joint.marginal_x_values, ce_model.marginal_x.density(joint.x_nodes), atol=1e-8
-        )
+        density = marginal_density(joint.marginal_x, joint.x_nodes, 64, ce_model.marginal_x.support)
+        np.testing.assert_allclose(density, ce_model.marginal_x.density(joint.x_nodes), atol=1e-8)
 
     def test_total_mass_renormalized(self, disc_joint):
-        mass = disc_joint.x_weights @ disc_joint.joint_values @ disc_joint.y_weights
-        assert mass == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(disc_joint.masses)) == pytest.approx(1.0, abs=1e-12)
 
     def test_dead_strip_nodes_are_dropped(self):
         # density supported on x >= 0.5 only: the left half of the grid goes away
         density = lambda x, y: np.where(x >= 0.5, 2.0, 0.0)
         joint = discretize_joint(density, ((0.0, 1.0), (0.0, 1.0)), 64)
         assert np.all(joint.x_nodes >= 0.5)
-        assert np.all(joint.marginal_x_values > 0.0)
+        assert np.all(joint.marginal_x > 0.0)
 
     def test_zero_mass_raises(self):
         with pytest.raises(ValueError, match="zero-mass"):
@@ -90,6 +91,30 @@ class TestDiscretizeJoint:
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             discretize_joint(lambda x, y: x * y, ((0.0, 1.0), (-1.0, 1.0)), 32)
+
+
+class TestDiscretizedJointChecks:
+    @pytest.mark.parametrize(
+        "masses, match",
+        [
+            (np.full((2, 3), 1.0 / 6.0), "shape"),
+            ([[0.5, -0.1], [0.1, 0.5]], "finite and nonnegative"),
+            ([[0.5, np.nan], [0.0, 0.5]], "finite and nonnegative"),
+            ([[0.5, np.inf], [0.0, 0.5]], "finite and nonnegative"),
+            ([[0.5, 0.5], [0.0, 0.0]], "positive mass"),
+            ([[0.5, 0.0], [0.5, 0.0]], "positive mass"),
+            ([[0.25, 0.25], [0.25, 0.25 + 2e-6]], "total mass"),
+            ([[0.25, 0.25], [0.25, 0.25 - 2e-6]], "total mass"),
+        ],
+    )
+    def test_rejects(self, masses, match):
+        with pytest.raises(ValueError, match=match):
+            DiscretizedJoint([0.0, 1.0], [0.0, 1.0], masses)
+
+    def test_marginals_are_the_row_and_column_sums(self):
+        joint = DiscretizedJoint([0.0, 1.0], [0.0, 1.0], [[0.1, 0.2], [0.3, 0.4 + 5e-7]])
+        np.testing.assert_array_equal(joint.marginal_x, [0.1 + 0.2, 0.3 + (0.4 + 5e-7)])
+        np.testing.assert_array_equal(joint.marginal_y, [0.1 + 0.3, 0.2 + (0.4 + 5e-7)])
 
 
 class TestPearson:
@@ -130,24 +155,23 @@ class TestMaxcorrSvd:
 
     def test_optimizers_are_standardized(self, ce_joint):
         result = maxcorr_svd(ce_joint)
-        wx = ce_joint.x_weights * ce_joint.marginal_x_values
-        assert float(wx @ result.g1_values) == pytest.approx(0.0, abs=1e-9)
-        assert float(wx @ result.g1_values**2) == pytest.approx(1.0, rel=1e-9)
+        p = ce_joint.marginal_x
+        assert float(p @ result.g1_values) == pytest.approx(0.0, abs=1e-9)
+        assert float(p @ result.g1_values**2) == pytest.approx(1.0, rel=1e-9)
 
-    def test_tampered_marginals_trigger_spectral_failure(self, ce_model):
-        base = discretize_model(ce_model, 64)
-        warped = base.marginal_x_values * (1.0 + 0.05 * np.sin(np.arange(base.x_nodes.size)))
-        broken = DiscretizedJoint(
-            x_nodes=base.x_nodes,
-            x_weights=base.x_weights,
-            y_nodes=base.y_nodes,
-            y_weights=base.y_weights,
-            joint_values=base.joint_values,
-            marginal_x_values=warped,
-            marginal_y_values=base.marginal_y_values,
-        )
-        with pytest.raises(SpectralFailureError, match="spectral-failure"):
-            maxcorr_svd(broken)
+    def test_leading_value_off_one_is_a_spectral_failure(self, ce_joint, monkeypatch):
+        svd = np.linalg.svd
+
+        def leading_value_off_one(*args, **kwargs):
+            result = svd(*args, **kwargs)
+            spectrum = result[1] if kwargs.get("compute_uv", True) else result
+            spectrum[0] += 1e-3
+            return result
+
+        monkeypatch.setattr(np.linalg, "svd", leading_value_off_one)
+        for vectors in (True, False):
+            with pytest.raises(SpectralFailureError, match="spectral-failure"):
+                maxcorr_svd(ce_joint, vectors=vectors)
 
 
 class TestMaxcorrAce:
@@ -164,9 +188,8 @@ class TestMaxcorrAce:
 
     def test_optimizer_aligns_with_the_top_polynomial(self, ce_model, ce_joint):
         result = maxcorr_ace(ce_joint, tol=1e-12)
-        wy = ce_joint.y_weights * ce_joint.marginal_y_values
         psi2 = ce_model.system_y.evaluate(2, ce_joint.y_nodes)
-        assert abs(float(wy @ (result.g2_values * psi2))) >= 0.999
+        assert abs(float(ce_joint.marginal_y @ (result.g2_values * psi2))) >= 0.999
 
     def test_fourpoint_reaches_one(self):
         joint = joint_from_pmf(FOURPOINT, [-1, 0, 1], [-1, 0, 1])
@@ -248,16 +271,9 @@ class TestStructuralProperties:
     @settings(max_examples=25)
     def test_invariant_under_affine_node_rescaling(self, ce_model, scale, shift):
         base = discretize_model(ce_model, 48)
-        rescaled = DiscretizedJoint(
-            x_nodes=scale * base.x_nodes + shift,
-            x_weights=scale * base.x_weights,
-            y_nodes=base.y_nodes,
-            y_weights=base.y_weights,
-            joint_values=base.joint_values / scale,
-            marginal_x_values=base.marginal_x_values / scale,
-            marginal_y_values=base.marginal_y_values,
-        )
+        rescaled = DiscretizedJoint(scale * base.x_nodes + shift, base.y_nodes, base.masses)
         assert maxcorr_svd(rescaled).R == pytest.approx(maxcorr_svd(base).R, abs=1e-9)
+        assert pearson(rescaled) == pytest.approx(pearson(base), abs=1e-9)
 
     def test_estimates_live_in_the_unit_interval(self, ce_joint, disc_joint):
         for joint in (ce_joint, disc_joint):
@@ -300,53 +316,3 @@ class TestValuesOnlySvd:
             assert result.g1_values is None and result.g2_values is None
             assert result.spectrum.tobytes() == singular_spectrum(joint).tobytes()
             assert result.R == float(result.spectrum[1])
-
-    def test_values_only_route_keeps_the_constant_check(self, ce_model):
-        base = discretize_model(ce_model, 64)
-        warped = base.marginal_x_values * (1.0 + 0.05 * np.sin(np.arange(base.x_nodes.size)))
-        broken = DiscretizedJoint(
-            x_nodes=base.x_nodes,
-            x_weights=base.x_weights,
-            y_nodes=base.y_nodes,
-            y_weights=base.y_weights,
-            joint_values=base.joint_values,
-            marginal_x_values=warped,
-            marginal_y_values=base.marginal_y_values,
-        )
-        with pytest.raises(SpectralFailureError, match="spectral-failure"):
-            maxcorr_svd(broken, vectors=False)
-
-
-def _ace_with_products_in_the_sweep(joint, max_iters, tol):
-    """maxcorr_ace as it was when each sweep rebuilt its weighted kernels."""
-    values = joint.joint_values
-    u, v = joint.x_weights, joint.y_weights
-    m, mu = joint.marginal_x_values, joint.marginal_y_values
-    wx, wy = u * m, v * mu
-    g2 = _ace_start(joint.y_nodes, wy)
-    estimate = None
-    for iteration in range(1, max_iters + 1):
-        h1 = (values * v[None, :]) @ g2 / m
-        h1 = h1 - float(wx @ h1) / float(np.sum(wx))
-        var1 = float(wx @ h1**2)
-        assert var1 > 1e-26
-        g1 = h1 / np.sqrt(var1 / float(np.sum(wx)))
-        h2 = (values * u[:, None]).T @ g1 / mu
-        g2 = _standardize(h2, wy)
-        new_estimate = float((u * g1) @ values @ (v * g2))
-        if estimate is not None and abs(new_estimate - estimate) <= tol:
-            g1, g2 = _orient_pair(g1, g2, joint)
-            return AceResult(R=new_estimate, g1_values=g1, g2_values=g2, iterations=iteration)
-        estimate = new_estimate
-    raise AssertionError("the reference sweep did not converge")
-
-
-class TestAceHoistedKernels:
-    def test_bit_identical_to_the_sweep_that_rebuilds_its_kernels(self, bench_joints, ce_joint):
-        for name, joint in (*bench_joints.items(), ("ce", ce_joint)):
-            got = maxcorr_ace(joint, max_iters=_REPORT_ACE_MAX_ITERS, tol=1e-9)
-            want = _ace_with_products_in_the_sweep(joint, _REPORT_ACE_MAX_ITERS, 1e-9)
-            assert got.R == want.R, name
-            assert got.iterations == want.iterations, name
-            assert got.g1_values.tobytes() == want.g1_values.tobytes(), name
-            assert got.g2_values.tobytes() == want.g2_values.tobytes(), name

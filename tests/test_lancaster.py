@@ -360,6 +360,7 @@ class TestModelConfig:
             lambda cfg: cfg.update(rho_builder={"type": "linear", "N": 2, "lambda": 0.01}),
             lambda cfg: cfg.update(rho=[]),
             lambda cfg: cfg["marginal_x"].update(kind="cauchy"),
+            lambda cfg: cfg["marginal_x"].update(support=[0, 1, 2]),
             lambda cfg: cfg.update(max_degree=1),
         ],
     )

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +31,12 @@ class TestMarginalSpec:
     @pytest.mark.parametrize("support", [(1.0, 1.0), (2.0, 0.0), (0.0, np.inf)])
     def test_bad_support_rejected(self, support):
         with pytest.raises(ValueError):
+            MarginalSpec("uniform", support)
+
+    @pytest.mark.parametrize("support", [(0.0, 1.0, 2.0), (0.0,), ()])
+    def test_support_needs_exactly_two_endpoints(self, support):
+        message = r"must be a pair \[alpha, omega\], got " + re.escape(repr(support))
+        with pytest.raises(ValueError, match=message):
             MarginalSpec("uniform", support)
 
     def test_support_whose_width_overflows_is_rejected(self):

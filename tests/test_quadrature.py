@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,9 +130,36 @@ class TestRuleConstruction:
         with pytest.raises(ValueError, match="order"):
             QuadratureRule(np.array([0.75, 0.25]), np.array([0.5, 0.5]), (0.0, 1.0))
 
-    def test_rejects_wrong_weight_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            QuadratureRule(np.array([0.25, 0.75]), np.array([0.5, 0.6]), (0.0, 1.0))
+    @pytest.mark.parametrize(
+        "nodes,weights,interval",
+        [
+            ([0.25, 0.75], [0.5, 0.6], (0.0, 1.0)),
+            ([0.25e308, 0.75e308], [0.5e308, 0.6e308], (0.0, 1e308)),
+            ([0.5e308, 1.5e308], [1e308, 1e308], (0.0, 1.7e308)),  # the plain sum overflows
+        ],
+        ids=["unit", "wide", "sum-overflows"],
+    )
+    def test_rejects_wrong_weight_sum_without_warnings(self, nodes, weights, interval):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="sum"):
+                QuadratureRule(np.array(nodes), np.array(weights), interval)
+        assert caught == []
+
+    @pytest.mark.parametrize("interval", [(0.5, 0.5), (1.0, 0.0), (np.nan, 1.0)])
+    def test_rejects_an_interval_without_a_below_b(self, interval):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="a < b"):
+                QuadratureRule(np.array([0.5]), np.array([1.0]), interval)
+        assert caught == []
+
+    def test_widest_interval_builds_without_warnings(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rule = gauss_legendre_rule(8, 0.0, 1.7976931348623155e308)
+        assert caught == []
+        assert np.sum(rule.weights / 1.7976931348623155e308) == pytest.approx(1.0, rel=1e-12)
 
     def test_composite_rule_spans_breakpoints(self):
         rule = composite_gauss_legendre([0.0, 0.3, 1.0, 2.0], 8)
@@ -176,7 +205,7 @@ POINTWISE_ROUTES = {
     "integrate_2d": lambda one, two, model: integrate_2d(two, model.rule_x, model.rule_y),
     "discretize_joint": lambda one, two, model: discretize_joint(
         two, ((0.0, 1.0), (0.0, 1.0)), 16
-    ).joint_values,
+    ).masses,
     "conditional_expectation": lambda one, two, model: conditional_expectation(
         model, one, np.linspace(0.1, 0.9, 5)
     ),
