@@ -162,13 +162,20 @@ def joint_from_pmf(pmf, x_values=None, y_values=None) -> DiscretizedJoint:
     """Wrap a finite pmf matrix as a DiscretizedJoint.
 
     Lets the spectral and ACE machinery run unchanged on discrete laws.
-    Zero-probability rows and columns are trimmed.
+    Entries are checked before zero-probability rows and columns are trimmed,
+    so a bad entry cannot hide in a trimmed row.
     """
     p = np.asarray(pmf, dtype=float)
     if p.ndim != 2:
         raise ValueError("pmf must be a matrix")
+    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+        raise ValueError("pmf entries must be finite and nonnegative")
     x = np.arange(p.shape[0], dtype=float) if x_values is None else np.asarray(x_values, dtype=float)
     y = np.arange(p.shape[1], dtype=float) if y_values is None else np.asarray(y_values, dtype=float)
+    if x.shape != p.shape[:1] or y.shape != p.shape[1:]:
+        raise ValueError(
+            f"x_values and y_values must match the pmf's shape {p.shape}, got {x.shape} and {y.shape}"
+        )
     keep_x = p.sum(axis=1) > 0.0
     keep_y = p.sum(axis=0) > 0.0
     return DiscretizedJoint(x[keep_x], y[keep_y], p[np.ix_(keep_x, keep_y)])
@@ -361,8 +368,6 @@ def maxcorr_discrete_pmf(pmf) -> float:
     Undefined (degenerate-pmf) when either margin has a single support point.
     """
     p = np.asarray(pmf, dtype=float)
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise ValueError("pmf entries must be finite and nonnegative")
     total = float(p.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"pmf must sum to 1 within 1e-12, got {total!r}")

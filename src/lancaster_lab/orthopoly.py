@@ -9,14 +9,15 @@ because Hankel systems are hopelessly ill-conditioned past degree ~10.
 
 The sup norms of the phi_n over the support are computed alongside the
 recurrence: they gate how much coefficient mass a joint expansion built on
-the system can carry.
+the system can carry. Each is the largest |phi_n| at the endpoints and at
+the real roots of phi_n', which are the eigenvalues of a comrade matrix
+built from the same recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -40,10 +41,6 @@ _TABLE_RENORM_TOL = 1e-6
 
 _DEGENERATE_BETA = 1e-13
 _DEFAULT_QUAD_NODES = 128
-
-# A search that ends on its tolerance takes at most about 60 steps: the
-# bracket starts no wider than the support and the tolerance is 1e-12 of it.
-_GOLDEN_MAX_STEPS = 100
 
 
 class DegenerateMarginalError(ValueError):
@@ -183,9 +180,6 @@ class OrthonormalSystem:
     sup_norms: np.ndarray
     support: tuple[float, float]
     offdiagonals: np.ndarray = field(init=False, repr=False)
-    # Python-float copies of a_0 .. a_{N-1} and b_1 .. b_N for one-point evaluation
-    _alpha_floats: list = field(init=False, repr=False)
-    _offdiagonal_floats: list = field(init=False, repr=False)
 
     def __post_init__(self):
         n = int(self.max_degree)
@@ -212,8 +206,6 @@ class OrthonormalSystem:
         offdiagonals = np.append(beta, lead[-2] / lead[-1])
         offdiagonals.flags.writeable = False
         object.__setattr__(self, "offdiagonals", offdiagonals)
-        object.__setattr__(self, "_alpha_floats", alpha.tolist())
-        object.__setattr__(self, "_offdiagonal_floats", offdiagonals.tolist())
 
     def evaluate_all(self, x, upto: int | None = None) -> np.ndarray:
         """Stack phi_0 .. phi_upto evaluated at x along the first axis."""
@@ -236,28 +228,8 @@ class OrthonormalSystem:
         return out
 
     def evaluate(self, n: int, x):
-        """phi_n at x via the three-term recurrence.
-
-        A single point is evaluated in Python floats and returned as a float:
-        the steps are the IEEE operations of ``evaluate_all`` in the same
-        order, so the value is bit-identical without numpy's per-call cost.
-        An array goes through ``evaluate_all``.
-        """
-        if not 0 <= int(n) <= self.max_degree:
-            raise ValueError(f"degree-out-of-range: {n} not in [0, {self.max_degree}]")
-        n = int(n)
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim:
-            return self.evaluate_all(arr, upto=n)[n]
-        t = float(arr)
-        a, b = self._alpha_floats, self._offdiagonal_floats
-        prev, cur = 0.0, 1.0
-        for k in range(n):
-            nxt = (t - a[k]) * cur
-            if k > 0:
-                nxt = nxt - b[k - 1] * prev
-            prev, cur = cur, nxt / b[k]
-        return cur
+        """phi_n at x via the three-term recurrence."""
+        return self.evaluate_all(x, upto=n)[n]
 
     def monomial_coefficients(self, n: int | None = None) -> np.ndarray:
         """Lower-triangular matrix C with C[k, j] the coefficient of x**j in phi_k."""
@@ -277,55 +249,44 @@ class OrthonormalSystem:
         return coeff
 
 
-def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Maximum value of f on [lo, hi] by golden-section search.
+def sup_norm(system: OrthonormalSystem) -> np.ndarray:
+    """The maxima c_0 .. c_N of |phi_n| over the system's support.
 
-    Stops at a bracket no wider than ``tol`` or after ``_GOLDEN_MAX_STEPS``
-    steps, since far from 0 the float spacing can exceed ``tol``.
+    A maximum of |phi_n| sits at an endpoint or at a real root of phi_n'.
+    Differentiating the recurrence gives
+
+        b_{k+1} phi_{k+1}' = phi_k + (x - a_k) phi_k' - b_k phi_{k-1}',
+
+    so each phi_n' is a series in phi_0 .. phi_{n-1}; one pass builds them all.
+    The roots of phi_n' are the eigenvalues of its comrade matrix, the Jacobi
+    matrix with its last row corrected by that series (Barnett, Linear Algebra
+    Appl. 12, 1975). phi_n is evaluated at their real parts, clipped to the
+    support, and at both endpoints. No c_n is below 1: the weighted mean
+    square of phi_n is 1.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    steps = 0
-    while (b - a) > tol and steps < _GOLDEN_MAX_STEPS:
-        steps += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return max(fc, fd)
-
-
-def sup_norm(system: OrthonormalSystem, n: int) -> float:
-    """Maximum of |phi_n| over the system's support.
-
-    A Chebyshev-distributed scan with 64 n points (polynomial extrema cluster
-    at the ends) is refined by golden-section search around the grid winner,
-    which evaluates phi_n one point at a time in Python floats;
-    no derivative root-finding is needed. The result is never below 1: the
-    weighted mean square of phi_n is 1.
-    """
-    if not 1 <= int(n) <= system.max_degree:
-        raise ValueError(f"degree-out-of-range: {n} not in [1, {system.max_degree}]")
-    n = int(n)
+    n_max = system.max_degree
+    a, b = system.recurrence_alpha, system.offdiagonals
     lo, hi = system.support
-    count = 64 * n
-    theta = np.linspace(0.0, np.pi, count)
-    grid = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(theta)
-    values = np.abs(system.evaluate_all(grid, upto=n)[n])
-    j = int(np.argmax(values))
-    bracket_lo = grid[max(j - 1, 0)]
-    bracket_hi = grid[min(j + 1, count - 1)]
-    refined = _golden_section_max(
-        lambda t: abs(float(system.evaluate(n, t))), bracket_lo, bracket_hi, tol=(hi - lo) * 1e-12
-    )
-    return max(float(values[j]), refined, 1.0)
+    # x times a series in phi_0 .. phi_{N-2} is jacobi @ series
+    jacobi = np.diag(a) + np.diag(b[:-1], 1) + np.diag(b[:-1], -1)
+    # deriv[n, k] is the coefficient of phi_k in phi_n'
+    deriv = np.zeros((n_max + 1, n_max))
+    for k in range(n_max):
+        row = jacobi @ deriv[k] - a[k] * deriv[k]
+        row[k] += 1.0
+        if k > 0:
+            row -= b[k - 1] * deriv[k - 1]
+        deriv[k + 1] = row / b[k]
+    sups = np.ones(n_max + 1)
+    for n in range(1, n_max + 1):
+        m = n - 1  # the degree of phi_n'
+        comrade = jacobi[:m, :m].copy()
+        if m:
+            comrade[m - 1] -= b[m - 1] * deriv[n, :m] / deriv[n, m]
+        roots = np.clip(np.linalg.eigvals(comrade).real, lo, hi)
+        values = system.evaluate(n, np.concatenate(([lo, hi], roots)))
+        sups[n] = max(float(np.max(np.abs(values))), 1.0)
+    return sups
 
 
 def orthonormality_residual(
@@ -407,10 +368,7 @@ def build_system(
         sup_norms=np.ones(max_degree + 1),
         support=marginal.support,
     )
-    sups = np.ones(max_degree + 1)
-    for n in range(1, max_degree + 1):
-        sups[n] = sup_norm(system, n)
-    system = replace(system, sup_norms=sups)
+    system = replace(system, sup_norms=sup_norm(system))
 
     residual = orthonormality_residual(system, marginal, quad_nodes + 37)
     if residual > 1e-10:

@@ -228,6 +228,35 @@ def brute_force_2x2(pmf):
     return abs(cov) / denom
 
 
+NAN_IN_A_TRIMMED_ROW = [[np.nan, 0.0, 0.0], [0.0, 0.25, 0.25], [0.0, 0.25, 0.25]]
+NEGATIVE_IN_A_TRIMMED_COLUMN = [[-0.25, 0.25, 0.0], [0.0, 0.25, 0.25], [0.0, 0.25, 0.25]]
+
+
+class TestJointFromPmf:
+    @pytest.mark.parametrize(
+        "pmf", [NAN_IN_A_TRIMMED_ROW, NEGATIVE_IN_A_TRIMMED_COLUMN], ids=["nan", "negative"]
+    )
+    def test_bad_entries_are_rejected_before_trimming(self, pmf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            joint_from_pmf(pmf)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            maxcorr_discrete_pmf(pmf)
+
+    @pytest.mark.parametrize(
+        "x_values, y_values",
+        [
+            ([0.0, 1.0, 2.0], [0.0, 1.0]),
+            ([0.0], [0.0, 1.0]),
+            ([0.0, 1.0], [0.0, 1.0, 2.0]),
+            ([0.0, 1.0], [0.0]),
+        ],
+        ids=["x-longer", "x-shorter", "y-longer", "y-shorter"],
+    )
+    def test_value_lengths_must_match_the_pmf(self, x_values, y_values):
+        with pytest.raises(ValueError, match=r"must match the pmf's shape \(2, 2\)"):
+            joint_from_pmf([[0.3, 0.2], [0.2, 0.3]], x_values, y_values)
+
+
 class TestMaxcorrDiscretePmf:
     def test_fourpoint_lattice(self):
         assert maxcorr_discrete_pmf(FOURPOINT) == pytest.approx(1.0, abs=1e-9)
