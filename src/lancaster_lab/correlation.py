@@ -84,8 +84,8 @@ class DiscretizedJoint:
     masses[i, j] is the probability of (x_nodes[i], y_nodes[j]); for a density
     f sampled on a quadrature grid with weights u, v it is u_i f(x_i, y_j) v_j.
     The marginals are the row and column sums of the masses, computed here.
-    Invariants: finite nonnegative masses, total 1 within 1e-6, positive mass
-    in every row and column.
+    Invariants: finite 1-D node vectors, finite nonnegative masses, total 1
+    within 1e-6, positive mass in every row and column.
     """
 
     x_nodes: np.ndarray
@@ -97,6 +97,10 @@ class DiscretizedJoint:
     def __post_init__(self):
         for name in ("x_nodes", "y_nodes", "masses"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.x_nodes.ndim != 1 or self.y_nodes.ndim != 1:
+            raise ValueError("x_nodes and y_nodes must be 1-D")
+        if not (np.all(np.isfinite(self.x_nodes)) and np.all(np.isfinite(self.y_nodes))):
+            raise ValueError("x_nodes and y_nodes must be finite")
         if self.masses.shape != (self.x_nodes.size, self.y_nodes.size):
             raise ValueError("masses must have shape (len(x_nodes), len(y_nodes))")
         if np.any(self.masses < 0.0) or not np.all(np.isfinite(self.masses)):

@@ -48,6 +48,12 @@ _NEGATIVE_CLAMP = 1e-12
 
 _DEFAULT_MAX_DEGREE = 8
 
+# Config limits, checked before any system is built. Model verification
+# integrates on a quad_nodes x quad_nodes grid (8 n^2 bytes: 32 MiB at 2048),
+# and the sup norms take one eigenvalue solve per degree (O(N^4) in all).
+_MAX_QUAD_NODES = 2048
+_MAX_DEGREE_LIMIT = 64
+
 # The beta density is not piecewise linear: the sampler inverts its
 # piecewise-linear interpolant on this many equispaced knots. Uniform and
 # table marginals are inverted on their own knots, exactly.
@@ -433,11 +439,16 @@ def model_to_config(model: LancasterModel) -> dict:
     return cfg
 
 
-def _config_count(cfg: dict, key: str, default: int | None = None) -> int:
-    """The integer ``cfg[key]`` (``default`` when absent); other types, bool included, are malformed."""
+def _config_count(cfg: dict, key: str, default: int | None = None, limit: int | None = None) -> int:
+    """The integer ``cfg[key]`` (``default`` when absent), at most ``limit``.
+
+    Other types, bool included, are malformed.
+    """
     value = cfg.get(key, default)
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"malformed model config: {key!r} must be an integer, got {value!r}")
+    if limit is not None and value > limit:
+        raise ValueError(f"model config {key!r} must be at most {limit}, got {value}")
     return int(value)
 
 
@@ -448,7 +459,8 @@ def model_from_config(cfg: dict) -> LancasterModel:
     ({"type": "quadratic" | "linear", "N": int, "lambda": real for linear})
     must be present; ``max_degree`` defaults to max(8, coefficient count).
     Values of the wrong JSON type raise ValueError; ``N``, ``max_degree``
-    and ``quad_nodes`` must be integers.
+    and ``quad_nodes`` must be integers, ``max_degree`` at most 64 and
+    ``quad_nodes`` at most 2048.
     """
     if not isinstance(cfg, dict):
         raise ValueError("model config must be a JSON object")
@@ -477,8 +489,8 @@ def model_from_config(cfg: dict) -> LancasterModel:
                 if "lambda" not in builder:
                     raise ValueError("linear rho_builder needs a 'lambda' value")
                 lam = float(builder["lambda"])
-        max_degree = _config_count(cfg, "max_degree", max(_DEFAULT_MAX_DEGREE, count))
-        quad_nodes = _config_count(cfg, "quad_nodes", _DEFAULT_QUAD_NODES)
+        max_degree = _config_count(cfg, "max_degree", max(_DEFAULT_MAX_DEGREE, count), _MAX_DEGREE_LIMIT)
+        quad_nodes = _config_count(cfg, "quad_nodes", _DEFAULT_QUAD_NODES, _MAX_QUAD_NODES)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model config: {exc}") from exc
 

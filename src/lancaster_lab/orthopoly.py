@@ -7,17 +7,18 @@ produced by the Stieltjes procedure (quadrature inner products against f,
 one degree at a time); moment-matrix factorizations are avoided on purpose
 because Hankel systems are hopelessly ill-conditioned past degree ~10.
 
-The sup norms of the phi_n over the support are computed alongside the
-recurrence: they gate how much coefficient mass a joint expansion built on
-the system can carry. Each is the largest |phi_n| at the endpoints and at
-the real roots of phi_n', which are the eigenvalues of a comrade matrix
-built from the same recurrence.
+A system is stored as its Jacobi matrix alone. The leading coefficients
+and the sup norms of the phi_n over the support are derived from it; the
+sup norms gate how much coefficient mass a joint expansion built on the
+system can carry. Each is the largest |phi_n| at the endpoints and at the
+real roots of phi_n', which are the eigenvalues of a comrade matrix built
+from the same recurrence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,55 +158,52 @@ class MarginalSpec:
             return composite_gauss_legendre(knots, per_segment)
         return gauss_legendre_rule(int(n_nodes), *self.support)
 
+    def measure(self, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and point masses of the quadrature rule times this density.
+
+        Integrating g against the marginal is ``masses @ g(nodes)``.
+        """
+        rule = self.quadrature_rule(n_nodes)
+        return rule.nodes, rule.weights * self.density(rule.nodes)
+
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalSystem:
-    """Recurrence data for the orthonormal polynomials of one marginal.
+    """The orthonormal polynomials of one marginal, given by their Jacobi matrix.
 
-    recurrence_alpha holds a_0 .. a_{N-1} and recurrence_beta the positive
-    off-diagonal entries b_1 .. b_{N-1} of the Jacobi matrix, so that
+    ``recurrence_alpha`` holds the diagonal a_0 .. a_{N-1} and ``offdiagonals``
+    the positive entries b_1 .. b_N, so that
 
-        b_{k+1} phi_{k+1}(x) = (x - a_k) phi_k(x) - b_k phi_{k-1}(x).
+        b_{k+1} phi_{k+1}(x) = (x - a_k) phi_k(x) - b_k phi_{k-1}(x),  phi_0 = 1.
 
-    ``leading`` holds the positive leading coefficients p_0 .. p_N (which
-    supply the final off-diagonal entry b_N = p_{N-1} / p_N), and
-    ``sup_norms`` the maxima c_0 .. c_N of |phi_n| over the support.
-    ``offdiagonals`` is the read-only array b_1 .. b_N, derived once per system.
+    Everything else is derived once, as read-only arrays: ``max_degree`` is N,
+    ``leading`` holds the leading coefficients p_n = 1 / (b_1 ... b_n) of
+    phi_0 .. phi_N, and ``sup_norms`` the maxima c_0 .. c_N of |phi_n| over
+    the support (see ``sup_norm``).
     """
 
-    max_degree: int
     recurrence_alpha: np.ndarray
-    recurrence_beta: np.ndarray
-    leading: np.ndarray
-    sup_norms: np.ndarray
+    offdiagonals: np.ndarray
     support: tuple[float, float]
-    offdiagonals: np.ndarray = field(init=False, repr=False)
+    max_degree: int = field(init=False)
+    leading: np.ndarray = field(init=False, repr=False)
+    sup_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = int(self.max_degree)
-        if n < 1:
-            raise ValueError("max_degree must be >= 1")
-        alpha = np.asarray(self.recurrence_alpha, dtype=float)
-        beta = np.asarray(self.recurrence_beta, dtype=float)
-        lead = np.asarray(self.leading, dtype=float)
-        sups = np.asarray(self.sup_norms, dtype=float)
-        if alpha.shape != (n,) or beta.shape != (max(n - 1, 0),):
-            raise ValueError("recurrence coefficient arrays have inconsistent lengths")
-        if lead.shape != (n + 1,) or sups.shape != (n + 1,):
-            raise ValueError("leading and sup_norms must have max_degree + 1 entries")
-        if np.any(beta <= 0.0) or np.any(lead <= 0.0):
-            raise ValueError("off-diagonal and leading coefficients must be positive")
-        if abs(sups[0] - 1.0) > 1e-12 or np.any(sups < 1.0 - 1e-9):
-            raise ValueError("sup norms must start at 1 and never fall below 1")
-        object.__setattr__(self, "max_degree", n)
-        object.__setattr__(self, "recurrence_alpha", alpha)
-        object.__setattr__(self, "recurrence_beta", beta)
-        object.__setattr__(self, "leading", lead)
+        alpha = np.array(self.recurrence_alpha, dtype=float)
+        b = np.array(self.offdiagonals, dtype=float)
+        if alpha.ndim != 1 or alpha.shape != b.shape or alpha.size < 1:
+            raise ValueError("recurrence_alpha and offdiagonals must be 1-D with the same length >= 1")
+        if not np.all(b > 0.0):
+            raise ValueError("off-diagonal entries must be positive")
+        leading = 1.0 / np.cumprod(np.concatenate(([1.0], b)))
+        for name, value in (("recurrence_alpha", alpha), ("offdiagonals", b), ("leading", leading)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "max_degree", alpha.size)
+        sups = sup_norm(self)
+        sups.flags.writeable = False
         object.__setattr__(self, "sup_norms", sups)
-        # the final off-diagonal entry comes from the leading-coefficient ratio
-        offdiagonals = np.append(beta, lead[-2] / lead[-1])
-        offdiagonals.flags.writeable = False
-        object.__setattr__(self, "offdiagonals", offdiagonals)
 
     def evaluate_all(self, x, upto: int | None = None) -> np.ndarray:
         """Stack phi_0 .. phi_upto evaluated at x along the first axis."""
@@ -293,15 +291,14 @@ def orthonormality_residual(
     system: OrthonormalSystem, marginal: MarginalSpec, quad_nodes: int
 ) -> float:
     """Largest deviation of the Gram matrix of phi_0..phi_N from the identity."""
-    rule = marginal.quadrature_rule(quad_nodes)
-    weights = rule.weights * marginal.density(rule.nodes)
-    basis = system.evaluate_all(rule.nodes)
-    gram = (basis * weights) @ basis.T
+    nodes, masses = marginal.measure(quad_nodes)
+    basis = system.evaluate_all(nodes)
+    gram = (basis * masses) @ basis.T
     return float(np.max(np.abs(gram - np.eye(system.max_degree + 1))))
 
 
 def build_system(
-    marginal: MarginalSpec, max_degree: int, quad_nodes: int | None = None
+    marginal: MarginalSpec, max_degree: int, quad_nodes: int = _DEFAULT_QUAD_NODES
 ) -> OrthonormalSystem:
     """Build the orthonormal polynomial system of a marginal up to max_degree.
 
@@ -313,23 +310,19 @@ def build_system(
     rule too small for the degrees, a rough marginal, or rounding on a
     support far from 0, where a larger rule does not help.
     """
-    if int(max_degree) < 1:
-        raise ValueError("max_degree must be >= 1")
     max_degree = int(max_degree)
-    if quad_nodes is None:
-        quad_nodes = max(_DEFAULT_QUAD_NODES, 4 * max_degree)
-    rule = marginal.quadrature_rule(quad_nodes)
-    if len(rule) < max_degree + 1:
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    x, w = marginal.measure(quad_nodes)
+    if x.size < max_degree + 1:
         raise ValueError("quad_nodes too small for the requested max_degree")
-    x = rule.nodes
-    w = rule.weights * marginal.density(x)
 
     pi_prev = np.zeros_like(x)
     pi_cur = np.ones_like(x)
     norm2 = [float(np.sum(w))]
     if not norm2[0] > 0.0:
         raise DegenerateMarginalError(
-            f"degenerate-marginal: the {marginal.kind} density is zero on all {len(rule)}"
+            f"degenerate-marginal: the {marginal.kind} density is zero on all {x.size}"
             " quadrature nodes; the marginal is too concentrated for its rule"
         )
     alphas: list[float] = []
@@ -358,17 +351,7 @@ def build_system(
             betas_monic.append(beta_next)
             norm2.append(n2)
 
-    leading = 1.0 / np.sqrt(np.asarray(norm2))
-    beta_orthonormal = np.sqrt(np.asarray(betas_monic[: max_degree - 1]))
-    system = OrthonormalSystem(
-        max_degree=max_degree,
-        recurrence_alpha=np.asarray(alphas),
-        recurrence_beta=beta_orthonormal,
-        leading=leading,
-        sup_norms=np.ones(max_degree + 1),
-        support=marginal.support,
-    )
-    system = replace(system, sup_norms=sup_norm(system))
+    system = OrthonormalSystem(np.asarray(alphas), np.sqrt(np.asarray(betas_monic)), marginal.support)
 
     residual = orthonormality_residual(system, marginal, quad_nodes + 37)
     if residual > 1e-10:

@@ -104,8 +104,7 @@ def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np
         raise ValueError(
             "unsupported-conditioning-point: the conditioning marginal vanishes at y"
         )
-    nodes = model.rule_x.nodes
-    weights = model.rule_x.weights * model.marginal_x.density(nodes)
+    nodes, masses = model.marginal_x.measure(model.quad_nodes)
     h_vals = _values_on(h, nodes)
     if not np.all(np.isfinite(h_vals)):
         raise ValueError("non-finite-evaluation: h is not finite on the support")
@@ -114,7 +113,7 @@ def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np
     phi = model.system_x.evaluate_all(nodes, upto=n)
     psi = model.system_y.evaluate_all(y_arr, upto=n).reshape(n + 1, -1)
     # projections <h, phi_k> for k = 0 .. n; the k = 0 one is the marginal mean
-    projections = (h_vals * weights) @ phi.T
+    projections = (h_vals * masses) @ phi.T
     factors = np.concatenate(([1.0], model.coeffs.rho))
     result = ((projections * factors) @ psi).reshape(h_vals.shape[:-1] + y_arr.shape)
     return result if result.ndim else float(result)

@@ -289,6 +289,37 @@ class TestErrorHandling:
         assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
         assert f"{key!r} must be an integer" in errors[0]
 
+    @pytest.mark.parametrize("key,value", [("quad_nodes", 20000), ("max_degree", 1000000)])
+    def test_oversized_counts_end_in_one_config_error_before_any_build(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built from an oversized config")
+
+        monkeypatch.setattr("lancaster_lab.lancaster.build_system", no_build)
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        cfg[key] = value
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--model", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
+        assert f"{key!r} must be at most" in errors[0]
+
+    @pytest.mark.parametrize("key,value", [("quad_nodes", 2048), ("max_degree", 64)])
+    def test_counts_at_their_limit_reach_the_build(self, monkeypatch, key, value):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("lancaster_lab.lancaster.build_system", reached)
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        cfg[key] = value
+        with pytest.raises(Reached):
+            model_from_config(cfg)
+
     def test_support_whose_width_overflows_ends_in_one_config_error(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(HEADLINE_CONFIG))
         cfg["marginal_x"]["support"] = [-1e308, 1e308]

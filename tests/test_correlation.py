@@ -256,6 +256,23 @@ class TestJointFromPmf:
         with pytest.raises(ValueError, match=r"must match the pmf's shape \(2, 2\)"):
             joint_from_pmf([[0.3, 0.2], [0.2, 0.3]], x_values, y_values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_node_values_are_rejected(self, bad, axis):
+        values = {"x_values": [0.0, 1.0], "y_values": [0.0, 1.0]}
+        values[f"{axis}_values"] = [0.0, bad]
+        with pytest.raises(ValueError, match="must be finite"):
+            joint_from_pmf([[0.25, 0.25], [0.25, 0.25]], **values)
+
+
+class TestDiscretizedJointNodes:
+    def test_node_vectors_must_be_one_dimensional(self):
+        masses = np.full((2, 2), 0.25)
+        with pytest.raises(ValueError, match="1-D"):
+            DiscretizedJoint(np.array([[0.0, 1.0]]), np.array([0.0, 1.0]), masses)
+        with pytest.raises(ValueError, match="1-D"):
+            DiscretizedJoint(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), masses)
+
 
 class TestMaxcorrDiscretePmf:
     def test_fourpoint_lattice(self):

@@ -335,7 +335,7 @@ class TestModelConfig:
         assert reloaded.marginal_y == ce_model.marginal_y
         assert reloaded.coeffs.rho == ce_model.coeffs.rho
         assert reloaded.coeffs.bound_value == ce_model.coeffs.bound_value
-        for name in ("recurrence_alpha", "recurrence_beta", "leading", "sup_norms"):
+        for name in ("recurrence_alpha", "offdiagonals", "leading", "sup_norms"):
             assert np.array_equal(
                 getattr(reloaded.system_x, name), getattr(ce_model.system_x, name)
             )

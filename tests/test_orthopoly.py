@@ -10,6 +10,7 @@ from lancaster_lab.orthopoly import (
     DegenerateMarginalError,
     MarginalSpec,
     OrthonormalityError,
+    OrthonormalSystem,
     build_system,
     orthonormality_residual,
     sup_norm,
@@ -72,6 +73,15 @@ class TestMarginalSpec:
         with pytest.raises(ValueError, match="nonnegative"):
             MarginalSpec("table", (0.0, 2.0), ((0.0, 1.0, 2.0), (0.0, -1.0, 0.0)))
 
+    @pytest.mark.parametrize("kind", ["uniform", "beta", "table"])
+    def test_measure_is_the_rule_times_the_density(self, kind, uniform01, beta23, triangle_table):
+        marginal = {"uniform": uniform01, "beta": beta23, "table": triangle_table}[kind]
+        nodes, masses = marginal.measure(64)
+        rule = marginal.quadrature_rule(64)
+        assert nodes.tobytes() == rule.nodes.tobytes()
+        assert masses.tobytes() == (rule.weights * marginal.density(rule.nodes)).tobytes()
+        assert np.sum(masses) == pytest.approx(1.0, abs=1e-12)
+
     def test_table_knots_must_match_support(self):
         with pytest.raises(ValueError, match="span"):
             MarginalSpec("table", (0.0, 3.0), ((0.0, 1.0, 2.0), (0.0, 1.0, 0.0)))
@@ -113,9 +123,9 @@ class TestBuildSystemClosedForms:
         a, b = -0.5, 2.0
         system = build_system(MarginalSpec("uniform", (a, b)), 8)
         np.testing.assert_allclose(system.recurrence_alpha, np.full(8, (a + b) / 2), atol=1e-10)
-        k = np.arange(1, 8)
+        k = np.arange(1, 9)
         expected = (b - a) / 2 * k / np.sqrt(4.0 * k**2 - 1.0)
-        np.testing.assert_allclose(system.recurrence_beta, expected, atol=1e-10)
+        np.testing.assert_allclose(system.offdiagonals, expected, atol=1e-10)
 
 
 class TestOrthonormality:
@@ -214,13 +224,38 @@ def system_case(request):
     return build_system(request.getfixturevalue(kind), degree)
 
 
-class TestOffdiagonals:
-    def test_offdiagonals_are_stored_read_only(self, system_case):
-        expected = np.append(system_case.recurrence_beta, system_case.leading[-2] / system_case.leading[-1])
-        assert system_case.offdiagonals.tobytes() == expected.tobytes()
-        assert not system_case.offdiagonals.flags.writeable
-        with pytest.raises(ValueError):
-            system_case.offdiagonals[0] = 1.0
+class TestDerivedFields:
+    def test_jacobi_and_derived_arrays_are_read_only(self, system_case):
+        for name in ("recurrence_alpha", "offdiagonals", "leading", "sup_norms"):
+            array = getattr(system_case, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_leading_is_the_diagonal_of_the_monomial_matrix(self, system_case):
+        assert system_case.leading[0] == 1.0
+        assert system_case.leading.shape == (system_case.max_degree + 1,)
+        np.testing.assert_allclose(
+            system_case.leading, np.diag(system_case.monomial_coefficients()), rtol=1e-14
+        )
+
+    def test_closed_form_jacobi_matrix_is_the_whole_input(self):
+        # shifted Legendre on [0, 1]: a_k = 1/2, b_k = k / (2 sqrt(4k^2 - 1))
+        k = np.arange(1, 9)
+        system = OrthonormalSystem(np.full(8, 0.5), k / (2.0 * np.sqrt(4.0 * k**2 - 1.0)), (0.0, 1.0))
+        assert system.max_degree == 8
+        xs = np.linspace(0.0, 1.0, 33)
+        for n in range(9):
+            np.testing.assert_allclose(system.evaluate(n, xs), shifted_legendre(n, xs), atol=1e-12)
+        np.testing.assert_allclose(system.sup_norms, np.sqrt(2 * np.arange(9) + 1), rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "alpha, offdiagonals",
+        [([0.5, 0.5], [0.5]), ([], []), ([[0.5]], [[0.5]]), ([0.5, 0.5], [0.5, 0.0]), ([0.5], [np.nan])],
+    )
+    def test_rejects_a_malformed_jacobi_matrix(self, alpha, offdiagonals):
+        with pytest.raises(ValueError, match="1-D|positive"):
+            OrthonormalSystem(alpha, offdiagonals, (0.0, 1.0))
 
 
 class TestDegenerateMarginal:
