@@ -59,6 +59,20 @@ DEFAULT_CURVED_GRID = 400
 # ACE sweeps allowed in a correlation report before it gives up.
 _REPORT_ACE_MAX_ITERS = 2000
 
+# Golub-Kahan-Lanczos steps allowed, at most, before the values-only route
+# falls back to the full spectrum. Below it the cap is min(m, n), not one less:
+# D has rank at most min(m, n) - 1, and the start vector's component in D's
+# null space takes one step more.
+_LANCZOS_MAX_STEPS = 64
+# A Ritz triple whose residual is at most this is accepted (the kernel's norm is 1).
+_LANCZOS_TOL = 1e-15
+# A lower bound on R above the Lanczos value by more than this means Lanczos
+# missed the top singular value.
+_LANCZOS_SLACK = 1e-12
+# Start-vector phase: the golden angle 2 pi (1 - 1 / phi), so sin(k * phase)
+# never repeats and has no zero entry.
+_GOLDEN_ANGLE = 2.399963229728653
+
 
 class SpectralFailureError(RuntimeError):
     """The discretized kernel violates its structural spectral guarantees."""
@@ -240,7 +254,7 @@ class SvdResult(NamedTuple):
     R: float
     g1_values: np.ndarray | None
     g2_values: np.ndarray | None
-    spectrum: np.ndarray
+    spectrum: np.ndarray | None
 
 
 def singular_spectrum(joint: DiscretizedJoint) -> np.ndarray:
@@ -248,36 +262,98 @@ def singular_spectrum(joint: DiscretizedJoint) -> np.ndarray:
     return np.linalg.svd(_kernel_matrix(joint), compute_uv=False)
 
 
-def maxcorr_svd(joint: DiscretizedJoint, vectors: bool = True) -> SvdResult:
+def _lanczos_sigma2(kernel: np.ndarray, left: np.ndarray, right: np.ndarray) -> float | None:
+    """Largest singular value of the deflated kernel D = K - left right^T.
+
+    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization,
+    started from a fixed dense vector orthogonal to ``right``. After k steps
+    D V_k = U_k B_k and D^T U_k = V_k B_k^T + beta_k v_{k+1} e_k^T with B_k
+    upper bidiagonal; the top Ritz triple (sigma, x, y) of B_k leaves the
+    residual beta_k |x_k|. Returns sigma once that residual is at most 1e-15,
+    or when an alpha or beta is 0 (the Krylov space is exhausted); returns
+    None when min(m, n, 64) steps pass without either.
+    """
+    m, n = kernel.shape
+    steps = min(m, n, _LANCZOS_MAX_STEPS)
+    us = np.empty((steps, m))
+    vs = np.empty((steps + 1, n))
+    bidiagonal = np.zeros((steps, steps + 1))
+    start = np.sin(np.arange(1, n + 1) * _GOLDEN_ANGLE)
+    start -= right * float(right @ start)
+    vs[0] = start / np.linalg.norm(start)
+    beta = 0.0
+    for k in range(steps):
+        u = kernel @ vs[k] - left * float(right @ vs[k])
+        if k:
+            u -= beta * us[k - 1]
+        u -= us[:k].T @ (us[:k] @ u)
+        alpha = float(np.linalg.norm(u))
+        bidiagonal[k, k] = alpha
+        if alpha == 0.0:
+            beta = 0.0
+        else:
+            us[k] = u / alpha
+            r = kernel.T @ us[k] - right * float(left @ us[k]) - alpha * vs[k]
+            r -= vs[: k + 1].T @ (vs[: k + 1] @ r)
+            beta = float(np.linalg.norm(r))
+        x, sigma, _ = np.linalg.svd(bidiagonal[: k + 1, : k + 1])
+        if beta * abs(x[k, 0]) <= _LANCZOS_TOL:
+            return float(sigma[0])
+        bidiagonal[k, k + 1] = beta
+        vs[k + 1] = r / beta
+    return None
+
+
+def maxcorr_svd(joint: DiscretizedJoint, vectors: bool = True, lower_bound: float = 0.0) -> SvdResult:
     """Maximal correlation as the second singular value of the normalized kernel.
 
-    The largest singular value belongs to the constants and must equal 1;
-    a deviation beyond 1e-6 signals a broken discretization and raises
-    SpectralFailureError. The optimizing transformations are returned as
-    function samples with zero weighted mean and unit weighted variance,
-    next to every singular value of the kernel, descending.
+    ``vectors`` serves the two callers with different needs.
 
-    ``vectors`` serves the two callers with different needs. The ``maxcorr``
-    command prints R, the optimizers and the spectrum, and takes all of them
-    from one full decomposition (the default). ``correlation_report`` reads
-    only R and the constant check, so it passes ``vectors=False``: the
-    spectrum then comes from ``singular_spectrum``, which skips the singular
-    vectors (about 60 % of the time at 400 nodes per axis), and both
-    optimizers are None.
+    With ``vectors=True`` (the ``maxcorr`` command) one full decomposition of
+    K gives R, the optimizers and every singular value, descending. The
+    largest belongs to the constants and must equal 1; a deviation beyond
+    1e-6 signals a broken discretization and raises SpectralFailureError.
+    The optimizers are function samples with zero weighted mean and unit
+    weighted variance.
+
+    With ``vectors=False`` (``correlation_report``) only R is computed, and
+    ``g1_values``, ``g2_values`` and ``spectrum`` are None. The constant pair
+    is known exactly, K sqrt(q) = sqrt(p) and K^T sqrt(p) = sqrt(q), so it is
+    checked directly: a defect beyond 1e-6 raises SpectralFailureError. R is
+    then the norm of the deflated kernel D = K - a b^T (a, b the unit
+    vectors along sqrt(p), sqrt(q)), found by Golub-Kahan-Lanczos. Why the
+    value is the largest singular value of D: a Ritz value never exceeds
+    sigma_max(D), and a converged residual puts it within 1e-15 of some
+    singular value of D. The only way to be wrong is to converge to a lower
+    one. ``lower_bound`` is a known lower bound on R, such as ACE's estimate
+    g1^T P g2: with standardized mean-zero g1, g2 that is a Rayleigh quotient
+    of D and so never above sigma_max(D). If it exceeds the Lanczos value by
+    more than 1e-12, Lanczos missed the top value. That case, and hitting
+    the step cap without converging, take R from ``singular_spectrum``.
     """
     if joint.x_nodes.size < 2 or joint.y_nodes.size < 2:
         raise ValueError("need at least two retained nodes per axis")
-    if vectors:
-        left, spectrum, right_t = np.linalg.svd(_kernel_matrix(joint), full_matrices=False)
-    else:
-        spectrum = singular_spectrum(joint)
+    kernel = _kernel_matrix(joint)
+    if not vectors:
+        left, right = np.sqrt(joint.marginal_x), np.sqrt(joint.marginal_y)
+        defect = max(
+            float(np.linalg.norm(kernel @ right - left)), float(np.linalg.norm(kernel.T @ left - right))
+        )
+        if not defect <= 1e-6:
+            raise SpectralFailureError(
+                f"spectral-failure: the constants are off the kernel's leading pair by {defect!r},"
+                " expected at most 1e-06; the discretization is inconsistent"
+            )
+        R = _lanczos_sigma2(kernel, left / np.linalg.norm(left), right / np.linalg.norm(right))
+        if R is None or lower_bound > R + _LANCZOS_SLACK:
+            R = float(singular_spectrum(joint)[1])
+        return SvdResult(R=R, g1_values=None, g2_values=None, spectrum=None)
+    left, spectrum, right_t = np.linalg.svd(kernel, full_matrices=False)
     if abs(spectrum[0] - 1.0) > 1e-6:
         raise SpectralFailureError(
             f"spectral-failure: leading singular value is {spectrum[0]!r}, expected 1"
             " (constants); the discretization is inconsistent"
         )
-    if not vectors:
-        return SvdResult(R=float(spectrum[1]), g1_values=None, g2_values=None, spectrum=spectrum)
     p, q = joint.marginal_x, joint.marginal_y
     g1 = _standardize(left[:, 1] / np.sqrt(p), p)
     g2 = _standardize(right_t[1] / np.sqrt(q), q)
@@ -411,15 +487,17 @@ def correlation_report(
     """Pearson plus every available maximal-correlation estimate for a joint.
 
     The closed-form value is included when a model is supplied. Nothing here
-    reads the optimizing transformations, so the kernel SVD runs without
-    singular vectors (``maxcorr_svd(joint, vectors=False)``). Raises
+    reads the optimizing transformations or the spectrum, so R_svd comes from
+    the values-only route (``maxcorr_svd(joint, vectors=False)``): Lanczos on
+    the deflated kernel, with ACE's estimate, computed first, as its lower
+    bound. Raises
     SpectralFailureError when the estimates violate structural guarantees
     (values outside [0, 1], or below |pearson| beyond oracle error: linear
     functions are always admissible transformations).
     """
     rho = pearson(joint)
-    svd = maxcorr_svd(joint, vectors=False)
     ace = maxcorr_ace(joint, max_iters=_REPORT_ACE_MAX_ITERS, tol=ace_tol)
+    svd = maxcorr_svd(joint, vectors=False, lower_bound=ace.R)
     analytic = maxcorr_analytic(model) if model is not None else None
     for label, value in (("svd", svd.R), ("ace", ace.R)):
         if not -1e-9 <= value <= 1.0 + 1e-9:

@@ -459,8 +459,8 @@ def model_from_config(cfg: dict) -> LancasterModel:
     ({"type": "quadratic" | "linear", "N": int, "lambda": real for linear})
     must be present; ``max_degree`` defaults to max(8, coefficient count).
     Values of the wrong JSON type raise ValueError; ``N``, ``max_degree``
-    and ``quad_nodes`` must be integers, ``max_degree`` at most 64 and
-    ``quad_nodes`` at most 2048.
+    and ``quad_nodes`` must be integers, ``max_degree`` (or, without it, the
+    coefficient count) at most 64 and ``quad_nodes`` at most 2048.
     """
     if not isinstance(cfg, dict):
         raise ValueError("model config must be a JSON object")
@@ -489,7 +489,13 @@ def model_from_config(cfg: dict) -> LancasterModel:
                 if "lambda" not in builder:
                     raise ValueError("linear rho_builder needs a 'lambda' value")
                 lam = float(builder["lambda"])
-        max_degree = _config_count(cfg, "max_degree", max(_DEFAULT_MAX_DEGREE, count), _MAX_DEGREE_LIMIT)
+        if "max_degree" in cfg:
+            max_degree = _config_count(cfg, "max_degree", limit=_MAX_DEGREE_LIMIT)
+        elif count > _MAX_DEGREE_LIMIT:
+            source = "'rho' length" if has_rho else "rho_builder 'N'"
+            raise ValueError(f"model config {source} must be at most {_MAX_DEGREE_LIMIT}, got {count}")
+        else:
+            max_degree = max(_DEFAULT_MAX_DEGREE, count)
         quad_nodes = _config_count(cfg, "quad_nodes", _DEFAULT_QUAD_NODES, _MAX_QUAD_NODES)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model config: {exc}") from exc

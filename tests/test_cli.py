@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lancaster_lab import cli, model_from_config
+from lancaster_lab import cli, correlation, model_from_config
 from lancaster_lab.cli import main
+from lancaster_lab.fixtures import BENCH_FIXTURES
 
 HEADLINE_CONFIG = {
     "marginal_x": {"kind": "uniform", "support": [0, 1]},
@@ -306,6 +307,28 @@ class TestErrorHandling:
         assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
         assert f"{key!r} must be at most" in errors[0]
 
+    @pytest.mark.parametrize(
+        "mutate,named",
+        [
+            (lambda cfg: cfg.update(rho_builder={"type": "quadratic", "N": 100}), "rho_builder 'N'"),
+            (lambda cfg: cfg.update(rho=[0.001] * 100), "'rho' length"),
+        ],
+        ids=["builder-N", "rho-length"],
+    )
+    def test_oversized_coefficient_count_names_its_own_key(self, tmp_path, capsys, monkeypatch, mutate, named):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built from an oversized config")
+
+        monkeypatch.setattr("lancaster_lab.lancaster.build_system", no_build)
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        del cfg["rho"], cfg["max_degree"]
+        mutate(cfg)
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--model", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: config-error: model config {named} must be at most 64, got 100"]
+
     @pytest.mark.parametrize("key,value", [("quad_nodes", 2048), ("max_degree", 64)])
     def test_counts_at_their_limit_reach_the_build(self, monkeypatch, key, value):
         class Reached(Exception):
@@ -437,17 +460,50 @@ class TestSvdRequests:
         monkeypatch.setattr(np.linalg, "svd", spy)
         return calls
 
-    def test_bench_never_asks_for_singular_vectors(self, svd_calls, tmp_path):
-        assert main(["bench", "--grid", "64", "--out", str(tmp_path / "bench.csv")]) == 0
-        assert svd_calls == [False] * 5
+    @pytest.fixture
+    def kernel_svds(self, monkeypatch):
+        """The shapes of the kernels built, and of every np.linalg.svd input shaped like the last one."""
+        record = {"kernels": [], "svds": []}
+        kernel_matrix, svd = correlation._kernel_matrix, np.linalg.svd
 
-    def test_report_never_asks_for_singular_vectors(self, svd_calls, model_file, tmp_path):
+        def kernel_spy(joint):
+            kernel = kernel_matrix(joint)
+            record["kernels"].append(kernel.shape)
+            return kernel
+
+        def svd_spy(matrix, *args, **kwargs):
+            if record["kernels"] and np.shape(matrix) == record["kernels"][-1]:
+                record["svds"].append(np.shape(matrix))
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(correlation, "_kernel_matrix", kernel_spy)
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        return record
+
+    def test_bench_never_decomposes_a_kernel(self, kernel_svds, tmp_path):
+        assert main(["bench", "--grid", "64", "--out", str(tmp_path / "bench.csv")]) == 0
+        assert len(kernel_svds["kernels"]) == len(BENCH_FIXTURES)
+        assert kernel_svds["svds"] == []
+
+    def test_report_never_decomposes_the_kernel(self, kernel_svds, model_file, tmp_path):
         assert main(["report", "--model", model_file, "--out", str(tmp_path / "r.json")]) == 0
-        assert svd_calls == [False]
+        assert len(kernel_svds["kernels"]) == 1
+        assert kernel_svds["svds"] == []
 
     def test_maxcorr_asks_once(self, svd_calls, capsys):
         assert main(["maxcorr", "--fixture", "fgm:0.2", "--grid", "64", "--format", "json"]) == 0
         assert svd_calls == [True]
+
+
+class TestBenchAgreesWithMaxcorr:
+    def test_R_svd_is_the_second_singular_value(self, capsys):
+        assert main(["bench", "--grid", "64", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["fixture"] for row in rows] == list(BENCH_FIXTURES)
+        for row in rows:
+            assert main(["maxcorr", "--fixture", row["fixture"], "--grid", "64", "--format", "json"]) == 0
+            spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+            assert abs(row["R_svd"] - spectrum[1]) <= 1e-15, row["fixture"]
 
 
 class TestOrthonormalityFailure:

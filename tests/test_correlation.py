@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lancaster_lab import build_model, correlation
 from lancaster_lab.correlation import (
     AceConvergenceError,
     DiscretizedJoint,
@@ -163,15 +164,20 @@ class TestMaxcorrSvd:
         svd = np.linalg.svd
 
         def leading_value_off_one(*args, **kwargs):
-            result = svd(*args, **kwargs)
-            spectrum = result[1] if kwargs.get("compute_uv", True) else result
+            left, spectrum, right_t = svd(*args, **kwargs)
             spectrum[0] += 1e-3
-            return result
+            return left, spectrum, right_t
 
-        monkeypatch.setattr(np.linalg, "svd", leading_value_off_one)
-        for vectors in (True, False):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", leading_value_off_one)
             with pytest.raises(SpectralFailureError, match="spectral-failure"):
-                maxcorr_svd(ce_joint, vectors=vectors)
+                maxcorr_svd(ce_joint, vectors=True)
+
+        # the values-only route checks the constant pair K sqrt(q) = sqrt(p) itself
+        kernel_matrix = correlation._kernel_matrix
+        monkeypatch.setattr(correlation, "_kernel_matrix", lambda joint: kernel_matrix(joint) * (1.0 + 1e-3))
+        with pytest.raises(SpectralFailureError, match="spectral-failure: the constants are off"):
+            maxcorr_svd(ce_joint, vectors=False)
 
 
 class TestMaxcorrAce:
@@ -354,11 +360,73 @@ class TestValuesOnlySvd:
     def test_report_takes_R_from_the_values_only_spectrum(self, bench_joints):
         for name, joint in bench_joints.items():
             report = correlation_report(joint, ace_tol=1e-9)
-            assert report.maxcorr_svd == float(singular_spectrum(joint)[1]), name
+            assert abs(report.maxcorr_svd - float(singular_spectrum(joint)[1])) <= 1e-15, name
 
-    def test_values_only_result_has_no_vectors_and_the_same_spectrum(self, bench_joints, ce_joint):
+    def test_values_only_result_has_no_vectors_and_no_spectrum(self, bench_joints, ce_joint):
         for joint in (*bench_joints.values(), ce_joint):
             result = maxcorr_svd(joint, vectors=False)
             assert result.g1_values is None and result.g2_values is None
-            assert result.spectrum.tobytes() == singular_spectrum(joint).tobytes()
-            assert result.R == float(result.spectrum[1])
+            assert result.spectrum is None
+            assert abs(result.R - float(singular_spectrum(joint)[1])) <= 1e-15
+
+
+class TestLanczosRoute:
+    """The values-only route against the full spectrum, and its one fallback."""
+
+    @pytest.fixture
+    def no_fallback(self, monkeypatch):
+        def forbidden(joint):
+            raise AssertionError("the values-only route fell back to the full spectrum")
+
+        monkeypatch.setattr(correlation, "singular_spectrum", forbidden)
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def spy(joint):
+            calls.append(joint)
+            return singular_spectrum(joint)
+
+        monkeypatch.setattr(correlation, "singular_spectrum", spy)
+        return calls
+
+    def test_random_pmfs_agree_with_the_full_spectrum(self, no_fallback):
+        rng = np.random.default_rng(20261018)
+        shapes = [tuple(int(k) for k in rng.integers(2, 301, size=2)) for _ in range(100)]
+        for shape in shapes + [(5, 242), (242, 5), (2, 300), (300, 2)]:
+            pmf = rng.random(shape) ** 3
+            joint = joint_from_pmf(pmf / pmf.sum())
+            reference = float(singular_spectrum(joint)[1])
+            assert abs(maxcorr_svd(joint, vectors=False).R - reference) <= 1e-15, shape
+
+    @pytest.mark.parametrize(
+        "rho",
+        [(0.05, 0.05 + 1e-10), (0.05, -0.05), (1e-8,)],
+        ids=["sigma2-near-sigma3", "opposite-signs", "near-independence"],
+    )
+    def test_models_agree_with_the_full_spectrum(self, uniform01, no_fallback, rho):
+        joint = discretize_model(build_model(uniform01, uniform01, rho), 200)
+        reference = float(singular_spectrum(joint)[1])
+        assert abs(maxcorr_svd(joint, vectors=False).R - reference) <= 1e-15
+
+    def test_an_exhausted_krylov_space_stops_at_once(self):
+        # D = -e1 e1^T annihilates every start vector orthogonal to e1: alpha_1 is exactly 0
+        e1 = np.array([1.0, 0.0, 0.0])
+        assert correlation._lanczos_sigma2(np.zeros((3, 3)), e1, e1) == 0.0
+
+    def test_step_cap_without_convergence_falls_back(self, disc_joint, fallbacks, monkeypatch):
+        monkeypatch.setattr(correlation, "_LANCZOS_MAX_STEPS", 3)
+        result = maxcorr_svd(disc_joint, vectors=False)
+        assert len(fallbacks) == 1
+        assert result.R == float(singular_spectrum(disc_joint)[1])
+
+    def test_lower_bound_above_the_lanczos_value_falls_back(self, ce_joint, fallbacks, monkeypatch):
+        lanczos = correlation._lanczos_sigma2
+        monkeypatch.setattr(correlation, "_lanczos_sigma2", lambda *args: lanczos(*args) - 1e-6)
+        missed = maxcorr_svd(ce_joint, vectors=False)
+        assert not fallbacks
+        report = correlation_report(ce_joint, ace_tol=1e-12)
+        assert len(fallbacks) == 1
+        assert report.maxcorr_svd == float(singular_spectrum(ce_joint)[1])
+        assert report.maxcorr_svd - missed.R == pytest.approx(1e-6, abs=1e-12)
