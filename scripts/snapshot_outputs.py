@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write 40 CLI outputs of this checkout into OUTDIR, for byte comparisons.
+"""Write 41 CLI outputs of this checkout into OUTDIR, for byte comparisons.
 
 Usage: python3 scripts/snapshot_outputs.py OUTDIR
 
@@ -8,7 +8,7 @@ The outputs are:
 - ``bench`` as csv and json;
 - ``maxcorr`` json for the disc, pball:1, fgm:0.2 and fourpoint fixtures
   and for the fourth verify-models config of seed 1;
-- a 20 000-draw ``sample`` csv of the headline model (seed 3);
+- a 20 000-draw ``sample`` of the headline model (seed 3) as csv and json;
 - ``report`` json and csv for the four verify-models configs of seeds
   1, 2, 3 and 7.
 
@@ -73,10 +73,12 @@ def snapshot(outdir: str) -> None:
             tag = name.replace(":", "-")
             _run(outdir, f"maxcorr-{tag}.json", "maxcorr", "--fixture", name, "--format", "json")
         headline = _write_config(configs, "headline.json", workloads.HEADLINE)
-        _run(
-            outdir, "sample-headline.csv",
-            "sample", "--model", headline, "--count", str(SAMPLE_COUNT), "--seed", str(SAMPLE_SEED),
-        )
+        for fmt in ("csv", "json"):
+            _run(
+                outdir, f"sample-headline.{fmt}",
+                "sample", "--model", headline, "--count", str(SAMPLE_COUNT), "--seed", str(SAMPLE_SEED),
+                "--format", fmt,
+            )
         for seed in REPORT_SEEDS:
             cfgs = workloads.model_configs(lancaster_lab, np.random.default_rng(seed))
             for k, cfg in enumerate(cfgs):

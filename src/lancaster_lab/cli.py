@@ -1,22 +1,27 @@
 """Command-line front end.
 
-Subcommands:
-    validate   check the coefficient bound of a model config; exit 2 on failure
-    report     full verification report (correlations + regressions) as JSON
-    maxcorr    singular spectrum and optimizer samples of a model or fixture
-    sample     draws from a model by rejection sampling
-    bench      run every built-in fixture and tabulate the estimates
+Subcommands and the flags each one reads (it accepts no other):
+    validate   --model (required), --out, --format
+               check the coefficient bound of a model config; exit 2 on failure
+    report     --model | --fixture, --grid, --tol, --out, --format
+               full verification report (correlations + regressions) as JSON
+    maxcorr    --model | --fixture, --grid, --out, --format
+               singular spectrum and optimizer samples of a model or fixture
+    sample     --model | --fixture, --count, --seed, --out, --format
+               draws from a model by rejection sampling, written in chunks
+    bench      --grid, --tol, --out, --format
+               run every built-in fixture and tabulate the estimates
 
 Models come from ``--model PATH`` (JSON config) or ``--fixture NAME`` for the
 built-ins (disc, pball:p, fourpoint, fgm:rho1). ``--grid`` is at most
 MAX_GRID, ``--count`` at most MAX_COUNT and ``--tol`` at most MAX_TOL.
-Exit codes: 0 success, 1 config error, 2 validation failure (coefficient
-bound), 3 numerical failure; each failure prints one machine-parsable line
-on stderr.
+Exit codes: 0 success, 1 config error (a malformed command line included),
+2 validation failure (coefficient bound), 3 numerical failure; each failure
+prints one machine-parsable ``error: <kind>: <detail>`` line on stderr.
 
 CSV output uses '.' decimals, 17 significant digits and LF line endings so
 doubles round-trip losslessly and runs diff cleanly. Files are written
-atomically (temp file + rename).
+atomically (temp file + rename) with the mode the umask gives a new file.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ from .regression import counterexample_report
 
 __all__ = ["RunConfig", "run", "main"]
 
-_COMMANDS = ("validate", "report", "maxcorr", "sample", "bench")
-
 # Input limits, checked before anything is allocated. A grid of n nodes per
 # axis makes an n x n kernel (8 n^2 bytes) and an O(n^3) SVD: 32 MiB at 2048.
 # Draws are held in memory at 16 bytes each: 160 MB at 10 million. A looser
@@ -60,6 +63,9 @@ _COMMANDS = ("validate", "report", "maxcorr", "sample", "bench")
 MAX_GRID = 2048
 MAX_COUNT = 10_000_000
 MAX_TOL = 1e-3
+
+# Rows that `sample` formats per write: its output takes the same memory at any --count.
+_SAMPLE_CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks) -> None:
+    """Write text chunks to a temp file and rename it to path, with the mode open() would give."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lancaster-lab-")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            umask = os.umask(0)  # reading the umask means setting it; it is restored at once
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes the file 0600 whatever the umask
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -112,11 +122,12 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: RunConfig, chunks) -> None:
+    """Write text chunks to --out, atomically, or to stdout."""
     if config.output_path:
-        _write_atomic(config.output_path, text)
+        _write_atomic(config.output_path, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _csv(header: str, rows) -> str:
@@ -130,8 +141,6 @@ def _json_text(obj) -> str:
 
 
 def _load_model_config(config: RunConfig) -> dict:
-    if config.model_path is None:
-        raise ValueError("this command needs --model PATH (a JSON model config)")
     with open(config.model_path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
@@ -155,6 +164,7 @@ _NOT_A_MODEL = "fixture {!r} is not an expansion model; this command needs --mod
 
 
 def _cmd_validate(config: RunConfig) -> int:
+    """Check the coefficient bound of a model config."""
     cfg = _load_model_config(config)
     try:
         model = model_from_config(cfg)
@@ -166,9 +176,9 @@ def _cmd_validate(config: RunConfig) -> int:
     if config.format == "json":
         # JSON has no infinity: a bound past the float range is written as null
         finite_bound = bound if math.isfinite(bound) else None
-        _emit(config, _json_text({"bound_value": finite_bound, "pass": ok}))
+        _emit(config, [_json_text({"bound_value": finite_bound, "pass": ok})])
     else:
-        _emit(config, f"bound_value={_fmt(bound)} {'pass' if ok else 'fail'}\n")
+        _emit(config, [f"bound_value={_fmt(bound)} {'pass' if ok else 'fail'}\n"])
     if not ok:
         print(f"error: bound-violated: bound_value={_fmt(bound)}", file=sys.stderr)
         return 2
@@ -253,15 +263,16 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
 
 
 def _cmd_report(config: RunConfig) -> int:
+    """Full correlation + regression verification report."""
     _, model = _resolve(config)
     if model is None:
         raise ValueError(_NOT_A_MODEL.format(config.fixture))
     report = counterexample_report(model, grid=config.grid or DEFAULT_MODEL_GRID, ace_tol=config.tol)
     document = _report_document(report, model)
     if config.format == "json":
-        _emit(config, _json_text(document))
+        _emit(config, [_json_text(document)])
     else:
-        _emit(config, _csv("key,value", _flatten(document)))
+        _emit(config, [_csv("key,value", _flatten(document))])
     return 0
 
 
@@ -271,6 +282,7 @@ def _sibling_path(path: str, tag: str) -> str:
 
 
 def _cmd_maxcorr(config: RunConfig) -> int:
+    """Singular spectrum and optimizing transformations."""
     fixture, model = _resolve(config)
     if fixture is None:
         joint = discretize_model(model, config.grid or DEFAULT_MODEL_GRID)
@@ -278,43 +290,57 @@ def _cmd_maxcorr(config: RunConfig) -> int:
         joint = fixture.joint(config.grid)
     result = maxcorr_svd(joint)
     if config.format == "json":
-        _emit(
-            config,
-            _json_text(
-                {
-                    "R": result.R,
-                    "spectrum": [float(s) for s in result.spectrum],
-                    "g1": [float(v) for v in result.g1_values],
-                    "g2": [float(v) for v in result.g2_values],
-                }
-            ),
-        )
+        document = {
+            "R": result.R,
+            "spectrum": [float(s) for s in result.spectrum],
+            "g1": [float(v) for v in result.g1_values],
+            "g2": [float(v) for v in result.g2_values],
+        }
+        _emit(config, [_json_text(document)])
         return 0
     spectrum_csv = _csv("index,value", ((i, _fmt(s)) for i, s in enumerate(result.spectrum)))
     g1_csv = _csv("index,value", ((i, _fmt(v)) for i, v in enumerate(result.g1_values)))
     g2_csv = _csv("index,value", ((i, _fmt(v)) for i, v in enumerate(result.g2_values)))
     if config.output_path:
-        _write_atomic(config.output_path, spectrum_csv)
-        _write_atomic(_sibling_path(config.output_path, "g1"), g1_csv)
-        _write_atomic(_sibling_path(config.output_path, "g2"), g2_csv)
+        _write_atomic(config.output_path, [spectrum_csv])
+        _write_atomic(_sibling_path(config.output_path, "g1"), [g1_csv])
+        _write_atomic(_sibling_path(config.output_path, "g2"), [g2_csv])
     else:
         sys.stdout.write(f"# spectrum\n{spectrum_csv}# g1\n{g1_csv}# g2\n{g2_csv}")
     return 0
 
 
+def _sample_chunks(samples, fmt: str):
+    """The draws as text, _SAMPLE_CHUNK_ROWS rows at a time.
+
+    The csv has an ``x,y`` header; the json is ``json.dumps(pairs, indent=2)``
+    and a newline, byte for byte.
+    """
+    step = _SAMPLE_CHUNK_ROWS
+    chunks = (samples[start : start + step].tolist() for start in range(0, len(samples), step))
+    if fmt == "csv":
+        yield "x,y\n"
+        for rows in chunks:
+            yield "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in rows)
+        return
+    opening = "[\n"
+    for rows in chunks:
+        yield opening + ",\n".join(f"  [\n    {x!r},\n    {y!r}\n  ]" for x, y in rows)
+        opening = ",\n"
+    yield "\n]\n"
+
+
 def _cmd_sample(config: RunConfig) -> int:
+    """Rejection-sample (x, y) pairs from a model."""
     _, model = _resolve(config)
     if model is None:
         raise ValueError(_NOT_A_MODEL.format(config.fixture))
-    samples = sample_joint(model, config.count, config.seed)
-    if config.format == "json":
-        _emit(config, _json_text([[float(x), float(y)] for x, y in samples]))
-    else:
-        _emit(config, _csv("x,y", ((_fmt(x), _fmt(y)) for x, y in samples)))
+    _emit(config, _sample_chunks(sample_joint(model, config.count, config.seed), config.format))
     return 0
 
 
 def _cmd_bench(config: RunConfig) -> int:
+    """Run all built-in fixtures against their known values."""
     rows = []
     for name in BENCH_FIXTURES:
         fixture = resolve_fixture(name)
@@ -331,20 +357,22 @@ def _cmd_bench(config: RunConfig) -> int:
             }
         )
     if config.format == "json":
-        _emit(config, _json_text(rows))
+        _emit(config, [_json_text(rows)])
     else:
         cells = [_flatten(row) for row in rows]
         header = ",".join(key for key, _ in cells[0])
-        _emit(config, _csv(header, ([value for _, value in row] for row in cells)))
+        _emit(config, [_csv(header, ([value for _, value in row] for row in cells))])
     return 0
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "report": _cmd_report,
-    "maxcorr": _cmd_maxcorr,
-    "sample": _cmd_sample,
-    "bench": _cmd_bench,
+# Each command: the function that runs it and the flags it reads. A command
+# accepts no other flag.
+_COMMANDS = {
+    "validate": (_cmd_validate, ("--model", "--out", "--format")),
+    "report": (_cmd_report, ("--model", "--fixture", "--grid", "--tol", "--out", "--format")),
+    "maxcorr": (_cmd_maxcorr, ("--model", "--fixture", "--grid", "--out", "--format")),
+    "sample": (_cmd_sample, ("--model", "--fixture", "--count", "--seed", "--out", "--format")),
+    "bench": (_cmd_bench, ("--grid", "--tol", "--out", "--format")),
 }
 
 
@@ -357,7 +385,7 @@ def _report_error(kind: str, exc: Exception, code: int) -> int:
 def run(config: RunConfig) -> int:
     """Execute one resolved configuration; returns the process exit code."""
     try:
-        return _DISPATCH[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except BoundViolationError as exc:
         return _report_error("bound-violated", exc, 2)
     except SpectralFailureError as exc:
@@ -372,51 +400,47 @@ def run(config: RunConfig) -> int:
         return _report_error("config-error", exc, 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ValueError, so a bad command line is one config-error line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+# How argparse reads each flag. A flag left unset takes RunConfig's default,
+# except --format, whose default each command sets.
+_FLAG_ARGS = {
+    "--model": {"dest": "model_path", "metavar": "PATH", "help": "JSON model config file"},
+    "--fixture": {"metavar": "NAME", "help": "built-in fixture name"},
+    "--grid": {"type": int, "help": "quadrature nodes per axis"},
+    "--tol": {"type": float, "help": "ACE convergence tolerance"},
+    "--count": {"type": int, "help": "number of samples"},
+    "--seed": {"type": int, "help": "sampler seed (64-bit)"},
+    "--out": {"dest": "output_path", "metavar": "PATH", "help": "output file (default stdout)"},
+    "--format": {"choices": ("csv", "json")},
+}
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lancaster-lab",
         description="Verify expansion joints whose maximal correlation exceeds |pearson|.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("validate", "check the coefficient bound of a model config"),
-        ("report", "full correlation + regression verification report"),
-        ("maxcorr", "singular spectrum and optimizing transformations"),
-        ("sample", "rejection-sample (x, y) pairs from a model"),
-        ("bench", "run all built-in fixtures against their known values"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--model", metavar="PATH", help="JSON model config file")
-        cmd.add_argument("--fixture", metavar="NAME", help="built-in fixture name")
-        cmd.add_argument("--grid", type=int, default=None, help="quadrature nodes per axis")
-        cmd.add_argument("--seed", type=int, default=0, help="sampler seed (64-bit)")
-        cmd.add_argument("--out", metavar="PATH", default=None, help="output file (default stdout)")
-        cmd.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default="json" if name in ("validate", "report") else "csv",
-        )
-        cmd.add_argument("--count", type=int, default=1000, help="number of samples")
-        cmd.add_argument("--tol", type=float, default=1e-9, help="ACE convergence tolerance")
+    for name, (handler, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=handler.__doc__, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            required = (name, flag) == ("validate", "--model")
+            cmd.add_argument(flag, required=required, **_FLAG_ARGS[flag])
+        cmd.set_defaults(format="json" if name in ("validate", "report") else "csv")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            model_path=args.model,
-            fixture=args.fixture,
-            grid=args.grid,
-            seed=args.seed,
-            output_path=args.out,
-            format=args.format,
-            count=args.count,
-            tol=args.tol,
-        )
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
     except ValueError as exc:
         return _report_error("config-error", exc, 1)
     return run(config)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lancaster import LancasterModel
-from .quadrature import _values_on, gauss_legendre_rule
+from .quadrature import _is_count, _values_on, gauss_legendre_rule
 
 __all__ = [
     "DiscretizedJoint",
@@ -139,11 +139,11 @@ def discretize_joint(
     embedded in their bounding box). Mass is renormalized to 1 and nodes
     whose marginal density falls below 1e-12 are dropped.
     """
-    if int(nodes_per_axis) < 16:
-        raise ValueError("nodes_per_axis must be at least 16")
+    if not _is_count(nodes_per_axis) or nodes_per_axis < 16:
+        raise ValueError(f"nodes_per_axis must be an integer at least 16, got {nodes_per_axis!r}")
     (ax, bx), (ay, by) = support
-    rule_x = gauss_legendre_rule(int(nodes_per_axis), float(ax), float(bx))
-    rule_y = gauss_legendre_rule(int(nodes_per_axis), float(ay), float(by))
+    rule_x = gauss_legendre_rule(nodes_per_axis, float(ax), float(bx))
+    rule_y = gauss_legendre_rule(nodes_per_axis, float(ay), float(by))
     values = _values_on(density, rule_x.nodes, rule_y.nodes)
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError("density must be finite and nonnegative on the grid")
@@ -409,15 +409,15 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 1000, tol: float = 1e-
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if int(max_iters) < 1:
-        raise ValueError("max_iters must be >= 1")
+    if not _is_count(max_iters) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     masses = joint.masses
     p, q = joint.marginal_x, joint.marginal_y
     g2 = _ace_start(joint.y_nodes, q)
 
     estimate = None
     gap = float("nan")
-    for iteration in range(1, int(max_iters) + 1):
+    for iteration in range(1, max_iters + 1):
         h1 = masses @ g2 / p
         h1 = h1 - float(p @ h1) / float(np.sum(p))
         var1 = float(p @ h1**2)
@@ -434,7 +434,7 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 1000, tol: float = 1e-
                 g1, g2 = _orient_pair(g1, g2, joint)
                 return AceResult(R=new_estimate, g1_values=g1, g2_values=g2, iterations=iteration)
         estimate = new_estimate
-    raise AceConvergenceError(last_estimate=estimate, gap=gap, iterations=int(max_iters))
+    raise AceConvergenceError(last_estimate=estimate, gap=gap, iterations=max_iters)
 
 
 # -- discrete pmf ------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .orthopoly import _DEFAULT_QUAD_NODES, MarginalSpec, OrthonormalSystem, build_system
-from .quadrature import QuadratureRule, _values_on, integrate_2d
+from .quadrature import QuadratureRule, _is_count, _values_on, integrate_2d
 
 __all__ = [
     "BoundViolationError",
@@ -126,8 +126,8 @@ def validate_coefficients(rho: Sequence[float], c, d) -> CoefficientSequence:
 
 def build_sequence_quadratic(c, d, count: int) -> CoefficientSequence:
     """rho_n = 6 / (pi^2 n^2 c_n d_n); always admissible since sum 1/n^2 < pi^2/6."""
-    if int(count) < 1:
-        raise ValueError("count must be >= 1")
+    if not _is_count(count) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     count = int(count)
     cs, ds = _sup_norm_slices(c, d, count)
     n = np.arange(1, count + 1, dtype=float)
@@ -137,8 +137,8 @@ def build_sequence_quadratic(c, d, count: int) -> CoefficientSequence:
 
 def build_sequence_linear(c, d, count: int, lam: float) -> CoefficientSequence:
     """rho_n = lambda * n for n <= count; admissible iff lambda <= 1 / sum n c_n d_n."""
-    if int(count) < 1:
-        raise ValueError("count must be >= 1")
+    if not _is_count(count) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     count = int(count)
     cs, ds = _sup_norm_slices(c, d, count)
     lam = float(lam)
@@ -251,12 +251,12 @@ def build_model(
     (total mass 1 within 1e-9).
     """
     rho = tuple(float(r) for r in rho)
-    if len(rho) > int(max_degree):
+    if len(rho) > max_degree:
         raise ValueError(
             f"max_degree ({max_degree}) must be at least the coefficient count ({len(rho)})"
         )
-    system_x = build_system(marginal_x, int(max_degree), quad_nodes)
-    system_y = build_system(marginal_y, int(max_degree), quad_nodes)
+    system_x = build_system(marginal_x, max_degree, quad_nodes)
+    system_y = build_system(marginal_y, max_degree, quad_nodes)
     coeffs = validate_coefficients(rho, system_x.sup_norms[1:], system_y.sup_norms[1:])
     return _assemble_model(marginal_x, marginal_y, system_x, system_y, coeffs, quad_nodes)
 
@@ -358,7 +358,7 @@ def sample_joint(
     ``with_stats`` the samples come paired with the proposal count and
     realized acceptance rate.
     """
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+    if not _is_count(count) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     count = int(count)
     rng = np.random.default_rng(seed)
@@ -445,7 +445,7 @@ def _config_count(cfg: dict, key: str, default: int | None = None, limit: int | 
     Other types, bool included, are malformed.
     """
     value = cfg.get(key, default)
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not _is_count(value):
         raise ValueError(f"malformed model config: {key!r} must be an integer, got {value!r}")
     if limit is not None and value > limit:
         raise ValueError(f"model config {key!r} must be at most {limit}, got {value}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import QuadratureRule, composite_gauss_legendre, gauss_legendre_rule
+from .quadrature import QuadratureRule, _is_count, composite_gauss_legendre, gauss_legendre_rule
 
 __all__ = [
     "MarginalSpec",
@@ -310,9 +310,11 @@ def build_system(
     rule too small for the degrees, a rough marginal, or rounding on a
     support far from 0, where a larger rule does not help.
     """
+    if not _is_count(max_degree) or max_degree < 1:
+        raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
+    if not _is_count(quad_nodes):
+        raise ValueError(f"quad_nodes must be an integer, got {quad_nodes!r}")
     max_degree = int(max_degree)
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
     x, w = marginal.measure(quad_nodes)
     if x.size < max_degree + 1:
         raise ValueError("quad_nodes too small for the requested max_degree")

@@ -100,6 +100,11 @@ def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ref_nodes, ref_weights
 
 
+def _is_count(value) -> bool:
+    """True for a Python or numpy integer; a bool, a float or any other type is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [a, b]; exact through degree 2n - 1.
 
@@ -107,7 +112,7 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     [-1, 1], and each call maps that reference rule affinely onto [a, b].
     The reference rules of the 64 most recently used node counts are kept.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not _is_count(n) or n < 1:
         raise ValueError(f"invalid-order: node count must be a positive integer, got {n!r}")
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise ValueError(f"invalid-interval: need finite a < b, got [{a!r}, {b!r}]")

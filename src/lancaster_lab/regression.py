@@ -24,7 +24,7 @@ import numpy as np
 
 from .correlation import DEFAULT_MODEL_GRID, CorrelationReport, correlation_report, discretize_model
 from .lancaster import LancasterModel, transpose_model
-from .quadrature import _values_on
+from .quadrature import _is_count, _values_on
 
 __all__ = [
     "RegressionCheckResult",
@@ -246,7 +246,7 @@ def check_polynomial_regression(
 def _require_degree(model: LancasterModel, n: int) -> int:
     """``n`` as an int; it must be an integer (bool excluded) in [1, top]."""
     top = min(model.system_x.max_degree, model.system_y.max_degree)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= top:
+    if not _is_count(n) or not 1 <= n <= top:
         raise ValueError(f"degree-out-of-range: {n!r} is not an integer in [1, {top}]")
     return int(n)
 

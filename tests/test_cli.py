@@ -1,10 +1,12 @@
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
 import pytest
 
-from lancaster_lab import cli, correlation, model_from_config
+from lancaster_lab import cli, correlation, model_from_config, sample_joint
 from lancaster_lab.cli import main
 from lancaster_lab.fixtures import BENCH_FIXTURES
 
@@ -187,9 +189,40 @@ class TestSample:
         main(["sample", "--model", model_file, "--count", "50", "--seed", "2", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("rows_per_chunk", [7, 50, 16384])
+    def test_chunked_output_has_the_bytes_of_the_whole_text(
+        self, model_file, tmp_path, capsys, monkeypatch, rows_per_chunk
+    ):
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK_ROWS", rows_per_chunk)
+        samples = sample_joint(model_from_config(HEADLINE_CONFIG), 50, 3)
+        expected = {
+            "json": json.dumps([[float(x), float(y)] for x, y in samples], indent=2) + "\n",
+            "csv": "x,y\n" + "".join(f"{float(x):.17g},{float(y):.17g}\n" for x, y in samples),
+        }
+        for fmt, text in expected.items():
+            args = ["sample", "--model", model_file, "--count", "50", "--seed", "3", "--format", fmt]
+            out = tmp_path / f"xy.{fmt}"
+            assert main(args + ["--out", str(out)]) == 0
+            assert out.read_bytes() == text.encode()
+            assert main(args) == 0
+            assert capsys.readouterr().out == text
+
     def test_geometric_fixture_is_not_samplable(self, capsys):
         assert main(["sample", "--fixture", "disc"]) == 1
         assert "error: config-error" in capsys.readouterr().err
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_files_follow_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            assert main(["maxcorr", "--fixture", "fourpoint", "--out", str(tmp_path / "s.csv")]) == 0
+        finally:
+            os.umask(previous)
+        assert sorted(os.listdir(tmp_path)) == ["s.csv", "s.g1.csv", "s.g2.csv"]
+        for path in tmp_path.iterdir():
+            assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 class TestBench:
@@ -222,12 +255,84 @@ class TestParser:
         assert "pearson" in json.loads(report.read_text())
         assert bench.read_text().startswith("fixture,pearson,")
 
-    def test_bad_flag_exits_two_on_repeated_calls(self, model_file):
+    def test_bad_flag_exits_one_on_repeated_calls(self, model_file, capsys):
         for _ in range(2):
-            with pytest.raises(SystemExit) as exit_info:
-                main(["report", "--model", model_file, "--no-such-flag"])
-            assert exit_info.value.code == 2
+            assert main(["report", "--model", model_file, "--no-such-flag"]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == ["error: config-error: unrecognized arguments: --no-such-flag"]
         assert main(["validate", "--model", model_file]) == 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sample", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lancaster-lab")
+
+
+# The flags each command reads, and what each flag sets in RunConfig: a
+# (command, flag) pair outside this table is a config error.
+FLAG_TABLE = {
+    "validate": {"--model", "--out", "--format"},
+    "report": {"--model", "--fixture", "--grid", "--tol", "--out", "--format"},
+    "maxcorr": {"--model", "--fixture", "--grid", "--out", "--format"},
+    "sample": {"--model", "--fixture", "--count", "--seed", "--out", "--format"},
+    "bench": {"--grid", "--tol", "--out", "--format"},
+}
+FLAG_SETTINGS = {
+    "--model": ("model_path", "m.json", "m.json"),
+    "--fixture": ("fixture", "fgm:0.2", "fgm:0.2"),
+    "--grid": ("grid", "64", 64),
+    "--tol": ("tol", "1e-6", 1e-6),
+    "--count": ("count", "7", 7),
+    "--seed": ("seed", "5", 5),
+    "--out": ("output_path", "o.txt", "o.txt"),
+    "--format": ("format", "json", "json"),
+}
+
+
+class TestFlagTable:
+    @staticmethod
+    def _main(monkeypatch, capsys, argv):
+        """(exit code, stderr lines, configs that reached run) of one main call."""
+        reached = []
+        monkeypatch.setattr(cli, "run", lambda config: reached.append(config) or 0)
+        code = main(argv)
+        return code, capsys.readouterr().err.splitlines(), reached
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_SETTINGS))
+    @pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+    def test_a_command_accepts_only_the_flags_it_reads(self, monkeypatch, capsys, command, flag):
+        field, text, value = FLAG_SETTINGS[flag]
+        argv = [command, flag, text]
+        if command == "validate" and flag != "--model":
+            argv += ["--model", "m.json"]
+        code, lines, reached = self._main(monkeypatch, capsys, argv)
+        if flag in FLAG_TABLE[command]:
+            assert (code, lines) == (0, [])
+            assert getattr(reached[0], field) == value
+        else:
+            assert (code, reached) == (1, [])
+            assert len(lines) == 1 and lines[0].startswith("error: config-error: "), lines
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["nope"], ["bench", "--grid", "abc"], ["validate"]],
+        ids=["no-command", "unknown-command", "bad-int", "validate-without-model"],
+    )
+    def test_a_malformed_command_line_is_one_config_error(self, monkeypatch, capsys, argv):
+        code, lines, reached = self._main(monkeypatch, capsys, argv)
+        assert (code, reached) == (1, [])
+        assert len(lines) == 1 and lines[0].startswith("error: config-error: "), lines
+
+    @pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+    def test_unset_flags_take_the_run_config_defaults(self, monkeypatch, capsys, command):
+        model = "m.json" if command == "validate" else None
+        argv = [command, "--model", model] if model else [command]
+        code, _, reached = self._main(monkeypatch, capsys, argv)
+        assert code == 0
+        expected_format = "json" if command in ("validate", "report") else "csv"
+        assert reached == [cli.RunConfig(command, model_path=model, format=expected_format)]
 
 
 class TestErrorHandling:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import lancaster_lab
 from lancaster_lab import lancaster
+from lancaster_lab.correlation import discretize_model, maxcorr_ace
 from lancaster_lab.lancaster import (
     BoundViolationError,
     build_model,
@@ -476,3 +477,41 @@ class TestIntegerSampleCounts:
     def test_numpy_integers_are_accepted(self, ce_model):
         samples = sample_joint(ce_model, np.int64(5), 0)
         assert samples.tobytes() == sample_joint(ce_model, 5, 0).tobytes()
+
+
+# Each entry point that takes a count, and a valid count for it. Every one
+# rejects a count that int() would turn into a valid one.
+COUNT_ENTRY_POINTS = {
+    "build_system-max_degree": (lambda m, u, count: build_system(u, count), 2),
+    "build_system-quad_nodes": (lambda m, u, count: build_system(u, 4, count), 64),
+    "build_model-max_degree": (lambda m, u, count: build_model(u, u, (0.05,), max_degree=count), 8),
+    "build_model-quad_nodes": (lambda m, u, count: build_model(u, u, (0.05,), quad_nodes=count), 128),
+    "discretize_model": (lambda m, u, count: discretize_model(m, count), 16),
+    "build_sequence_quadratic": (
+        lambda m, u, count: build_sequence_quadratic(UNIFORM_SUPS, UNIFORM_SUPS, count),
+        2,
+    ),
+    "build_sequence_linear": (
+        lambda m, u, count: build_sequence_linear(UNIFORM_SUPS, UNIFORM_SUPS, count, 1e-3),
+        2,
+    ),
+    "maxcorr_ace": (lambda m, u, count: maxcorr_ace(discretize_model(m, 32), max_iters=count), 50),
+}
+
+
+class TestIntegerCountsAtEveryEntryPoint:
+    @pytest.mark.parametrize(
+        "make_bad",
+        [lambda n: n + 0.5, lambda n: np.float64(n), lambda n: True],
+        ids=["float", "np.float64", "bool"],
+    )
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+    def test_non_integer_counts_are_rejected(self, ce_model, uniform01, entry, make_bad):
+        call, valid = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(ce_model, uniform01, make_bad(valid))
+
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+    def test_numpy_integers_are_accepted(self, ce_model, uniform01, entry):
+        call, valid = COUNT_ENTRY_POINTS[entry]
+        call(ce_model, uniform01, np.int64(valid))
