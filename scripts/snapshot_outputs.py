@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write 41 CLI outputs of this checkout into OUTDIR, for byte comparisons.
+"""Write 42 CLI outputs of this checkout into OUTDIR, for byte comparisons.
 
 Usage: python3 scripts/snapshot_outputs.py OUTDIR
 
@@ -9,6 +9,9 @@ The outputs are:
 - ``maxcorr`` json for the disc, pball:1, fgm:0.2 and fourpoint fixtures
   and for the fourth verify-models config of seed 1;
 - a 20 000-draw ``sample`` of the headline model (seed 3) as csv and json;
+- a 20 000-draw ``sample`` csv (seed 3) of the third verify-models config of
+  seed 1, table x beta(2, 2), whose inverse CDFs have many segments on both
+  axes;
 - ``report`` json and csv for the four verify-models configs of seeds
   1, 2, 3 and 7.
 
@@ -38,6 +41,7 @@ from lancaster_lab.cli import main  # noqa: E402
 REPORT_SEEDS = (1, 2, 3, 7)
 MAXCORR_FIXTURES = ("disc", "pball:1", "fgm:0.2", "fourpoint")
 MAXCORR_MODEL = (1, 3)  # (seed, slot): config (d), the degree-16 one
+SAMPLE_MODEL = (1, 2)  # (seed, slot): config (c), table x beta(2, 2)
 SAMPLE_COUNT = 20_000
 SAMPLE_SEED = 3
 
@@ -54,6 +58,14 @@ def _run(outdir: str, name: str, *args: str) -> None:
     code = main([*args, "--out", os.path.join(outdir, name)])
     if code != 0:
         raise SystemExit(f"lancaster-lab {' '.join(args)} exited with code {code}")
+
+
+def _sample(outdir: str, name: str, model_path: str, fmt: str) -> None:
+    _run(
+        outdir, name,
+        "sample", "--model", model_path, "--count", str(SAMPLE_COUNT), "--seed", str(SAMPLE_SEED),
+        "--format", fmt,
+    )
 
 
 def _write_config(directory: str, name: str, cfg: dict) -> str:
@@ -74,11 +86,7 @@ def snapshot(outdir: str) -> None:
             _run(outdir, f"maxcorr-{tag}.json", "maxcorr", "--fixture", name, "--format", "json")
         headline = _write_config(configs, "headline.json", workloads.HEADLINE)
         for fmt in ("csv", "json"):
-            _run(
-                outdir, f"sample-headline.{fmt}",
-                "sample", "--model", headline, "--count", str(SAMPLE_COUNT), "--seed", str(SAMPLE_SEED),
-                "--format", fmt,
-            )
+            _sample(outdir, f"sample-headline.{fmt}", headline, fmt)
         for seed in REPORT_SEEDS:
             cfgs = workloads.model_configs(lancaster_lab, np.random.default_rng(seed))
             for k, cfg in enumerate(cfgs):
@@ -88,6 +96,8 @@ def snapshot(outdir: str) -> None:
                     _run(outdir, f"report-{stem}.{fmt}", "report", "--model", path, "--format", fmt)
                 if (seed, k) == MAXCORR_MODEL:
                     _run(outdir, f"maxcorr-{stem}.json", "maxcorr", "--model", path, "--format", "json")
+                if (seed, k) == SAMPLE_MODEL:
+                    _sample(outdir, f"sample-{stem}.csv", path, "csv")
 
 
 if __name__ == "__main__":

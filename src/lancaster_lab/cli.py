@@ -15,6 +15,7 @@ Subcommands and the flags each one reads (it accepts no other):
 Models come from ``--model PATH`` (JSON config) or ``--fixture NAME`` for the
 built-ins (disc, pball:p, fourpoint, fgm:rho1). ``--grid`` is at most
 MAX_GRID, ``--count`` at most MAX_COUNT and ``--tol`` at most MAX_TOL.
+Flags are spelt in full: a prefix such as ``--g`` is an unknown flag.
 Exit codes: 0 success, 1 config error (a malformed command line included),
 2 validation failure (coefficient bound), 3 numerical failure; each failure
 prints one machine-parsable ``error: <kind>: <detail>`` line on stderr.
@@ -85,6 +86,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        if self.command == "validate" and self.model_path is None:
+            raise ValueError("validate needs a model config: --model PATH")
         if self.grid is not None and self.grid < 16:
             raise ValueError("grid must be at least 16 nodes per axis")
         if self.grid is not None and self.grid > MAX_GRID:
@@ -427,10 +430,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lancaster-lab",
         description="Verify expansion joints whose maximal correlation exceeds |pearson|.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, flags) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=handler.__doc__, argument_default=argparse.SUPPRESS)
+        cmd = sub.add_parser(
+            name, help=handler.__doc__, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
         for flag in flags:
             required = (name, flag) == ("validate", "--model")
             cmd.add_argument(flag, required=required, **_FLAG_ARGS[flag])

@@ -325,6 +325,31 @@ class TestFlagTable:
         assert (code, reached) == (1, [])
         assert len(lines) == 1 and lines[0].startswith("error: config-error: "), lines
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--g", "16"],
+            ["bench", "--gri", "16"],
+            ["report", "--mod", "x"],
+            ["maxcorr", "--fix", "disc"],
+            ["sample", "--fixture", "fgm:0.2", "--cou", "5"],
+            ["sample", "--fixture", "fgm:0.2", "--se=5"],
+            ["validate", "--model", "m.json", "--form", "csv"],
+        ],
+        ids=["g", "gri", "mod", "fix", "cou", "se-equals", "form"],
+    )
+    def test_a_flag_prefix_is_one_config_error(self, monkeypatch, capsys, argv):
+        code, lines, reached = self._main(monkeypatch, capsys, argv)
+        assert (code, reached) == (1, [])
+        assert len(lines) == 1 and lines[0].startswith("error: config-error: "), lines
+
+    def test_validate_needs_a_model_path(self, capsys):
+        with pytest.raises(ValueError, match="--model"):
+            cli.RunConfig("validate")
+        assert main(["validate"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config-error: "), lines
+
     @pytest.mark.parametrize("command", sorted(FLAG_TABLE))
     def test_unset_flags_take_the_run_config_defaults(self, monkeypatch, capsys, command):
         model = "m.json" if command == "validate" else None

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -277,6 +278,7 @@ def _table_cdf(marginal: MarginalSpec):
 _KINK_VALUES = np.array([0.0, 1.2, 0.4, 0.9, 0.0]) / 1.555  # trapezoid mass 1.555
 KINKED_TABLE = MarginalSpec("table", (0.0, 2.5), ((0.0, 0.3, 1.0, 1.7, 2.5), tuple(_KINK_VALUES)))
 UNIFORM_WIDE = MarginalSpec("uniform", (-3.0, 5.0))
+RAMP_TABLE = MarginalSpec("table", (0.0, 1.0), ((0.0, 1.0), (0.5, 1.5)))  # one sloped segment
 BETA23 = MarginalSpec("beta", (0.0, 1.0), (2.0, 3.0))
 
 
@@ -308,6 +310,29 @@ class TestExactInversion:
         assert np.all((lo <= x) & (x <= hi))
         assert x[0] == lo
 
+    @pytest.mark.parametrize(
+        "marginal",
+        [UNIFORM_WIDE, RAMP_TABLE, KINKED_TABLE, BETA23],
+        ids=["uniform", "two-knot-table", "table", "beta"],
+    )
+    def test_inverse_matches_the_clipped_search_over_every_knot(self, marginal):
+        inverse = lancaster._InverseCdfTable(marginal)
+        u = np.concatenate(
+            [
+                [0.0, np.nextafter(1.0, 0.0)],
+                inverse.cdf[1:-1],
+                np.random.default_rng(2).random(10_000),
+            ]
+        )
+        # the segment from a search over every knot, clipped into range, then the same arithmetic
+        i = np.clip(np.searchsorted(inverse.cdf, u, side="right") - 1, 0, inverse.x.size - 2)
+        r = u - inverse.cdf[i]
+        f = inverse.pdf[i]
+        root = f + np.sqrt(np.maximum(f * f + 2.0 * inverse.slope[i] * r, 0.0))
+        t = 2.0 * r / np.where(root > 0.0, root, np.inf)
+        expected = np.minimum(inverse.x[i] + t, inverse.x[i + 1])
+        assert inverse(u).tobytes() == expected.tobytes()
+
     def test_beta_inverse_is_nondecreasing(self):
         inverse = lancaster._InverseCdfTable(BETA23)
         knot_u = inverse.cdf[:-1]
@@ -327,6 +352,56 @@ class TestExactInversion:
         critical = scipy.stats.kstwobign.isf(0.01) / np.sqrt(samples.shape[0])
         assert scipy.stats.kstest(samples[:, 0], _table_cdf(KINKED_TABLE)).statistic < critical
         assert scipy.stats.kstest(samples[:, 1], scipy.stats.beta(2.0, 3.0).cdf).statistic < critical
+
+
+BETA_TABLE_CONFIG = {
+    "marginal_x": lancaster._marginal_to_config(BETA23),
+    "marginal_y": lancaster._marginal_to_config(KINKED_TABLE),
+    "rho_builder": {"type": "quadratic", "N": 4},
+}
+
+
+class TestPinnedDraws:
+    """sample_joint's draws and proposal counts, pinned by digest.
+
+    The digests were recorded from the sampler that transformed each round
+    whole, before rounds were worked through in slices; every slice size
+    must reproduce them.
+    """
+
+    # (model, count, seed, _MAX_BATCH): (sha256 of the samples' bytes, proposals)
+    PINNED = {
+        ("headline", 5, 2**40 + 7, 1 << 20): ("9ebd4caa99fa5c1e2c33457a6955fc1cf5858d5bd99d86a1870a4440e55efa8a", 10),
+        ("headline", 20_000, 3, 1 << 20): ("8725150796f3ea707ff4904f17cd376f51f3ee1f4f8d287015664c1b9143cbeb", 38300),
+        ("headline", 20_000, 3, 4096): ("c43961289a4eaa88ec1d6937c9387141189095e6328ccf2a31ab64356e50e990", 37768),
+        ("beta-table", 5, 2**40 + 7, 1 << 20): ("ddc370fa05fe81f62280a7f01d6ffd0e1c369d861c6ec032f9b91bd1c95bb43b", 8),
+        ("beta-table", 20_000, 3, 1 << 20): ("6b7a8ef320227de5c9cb025edef85d89b62b2a3bb6e8f72028e95d35c586532a", 37484),
+        ("beta-table", 20_000, 3, 4096): ("e7835aef8e37068888d28c3854a9e73ed2f8ea0cfdcc59435d0a157bed786575", 37139),
+        ("independence", 5, 2**40 + 7, 1 << 20): ("9fcd3c0f5ec5913635b4fe4d120aa7f18e44e2113cf5be2b1c6838f1829a6041", 5),
+        ("independence", 20_000, 3, 1 << 20): ("af9e2afa1e9e2e8aaef97e83cd751afa4b5aa435ce0fdd1bb1414a3500cc50bc", 20000),
+        ("independence", 20_000, 3, 4096): ("34d666823ea1e96a42f36ce873b29738f1e5d62f6d529d9660860f794a4344d4", 20000),
+    }
+
+    @pytest.fixture(scope="class")
+    def models(self, ce_model, independence_model):
+        return {
+            "headline": ce_model,
+            "beta-table": model_from_config(BETA_TABLE_CONFIG),
+            "independence": independence_model,
+        }
+
+    @pytest.mark.parametrize("case", sorted(PINNED), ids=lambda case: "-".join(map(str, case)))
+    @pytest.mark.parametrize("slice_size", [None, 1000, "round"], ids=["default", "1000", "round"])
+    def test_draws_match_their_digest(self, monkeypatch, models, case, slice_size):
+        name, count, seed, max_batch = case
+        monkeypatch.setattr(lancaster, "_MAX_BATCH", max_batch)
+        if slice_size is not None:
+            # "round": a slice as large as any round, so each round is one slice
+            size = max_batch if slice_size == "round" else slice_size
+            monkeypatch.setattr(lancaster, "_SLICE_PROPOSALS", size)
+        samples, stats = sample_joint(models[name], count, seed, with_stats=True)
+        digest = hashlib.sha256(samples.tobytes()).hexdigest()
+        assert (digest, stats.proposals) == self.PINNED[case]
 
 
 class TestModelConfig:
