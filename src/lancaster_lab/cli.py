@@ -98,6 +98,8 @@ class RunConfig:
             raise ValueError("count must be positive")
         if self.count > MAX_COUNT:
             raise ValueError(f"count must be at most {MAX_COUNT}, got {self.count}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"--seed must be an unsigned 64-bit integer, got {self.seed}")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.tol > MAX_TOL:

@@ -59,13 +59,15 @@ _MAX_DEGREE_LIMIT = 64
 # table marginals are inverted on their own knots, exactly.
 _CDF_TABLE_KNOTS = 4096
 
-# Proposals drawn per rejection round, at most: memory per round stays fixed
-# whatever the requested count.
+# Proposals per rejection round, at most. Each round takes its x, y and
+# acceptance uniforms from three consecutive batch-long stretches of the seed's
+# stream, so this cap and the round sizes it gives fix which uniform each draw
+# uses.
 _MAX_BATCH = 1 << 20
 
-# Proposals transformed and tested at a time within a round. A slice's
-# temporaries (128 KiB per float array) stay in a core's L2 cache, and a round
-# stops at the slice that meets the count.
+# Proposals drawn, transformed and tested at a time within a round. A slice's
+# uniforms and temporaries (128 KiB per float array) stay in a core's L2 cache,
+# and a round stops at the slice that meets the count.
 _SLICE_PROPOSALS = 1 << 14
 
 
@@ -361,34 +363,51 @@ def sample_joint(
 
     Proposals come from the exact inverse CDFs of the marginals (beta through
     its piecewise-linear interpolant); a proposal (x, y) is accepted with
-    probability series_factor(x, y) / (1 + bound). Proposals are drawn in
-    rounds of at most ``_MAX_BATCH``: each round draws its x, y and acceptance
-    uniforms, in that order, then transforms and tests them
-    ``_SLICE_PROPOSALS`` at a time and stops at the slice that meets the
-    count. The slices change neither the draws nor the proposal count.
-    ``count`` must be an integer (bool and other types are rejected). Output
-    is deterministic for a fixed seed. With ``with_stats`` the samples come
-    paired with the proposal count and realized acceptance rate.
+    probability series_factor(x, y) / (1 + bound). Proposals come in rounds of
+    at most ``_MAX_BATCH``. A round of ``batch`` proposals takes its x, y and
+    acceptance uniforms from positions [0, batch), [batch, 2 batch) and
+    [2 batch, 3 batch) onward of the seed's PCG64 stream (that of
+    ``np.random.default_rng(seed)``), and the next round starts 3 batch
+    further on. Three copies of the generator, jumped ahead to those
+    positions, draw the uniforms ``_SLICE_PROPOSALS`` at a time; each slice
+    is transformed and tested at once, and the round stops at the slice that
+    meets the count. Neither the jumps nor the slices change a draw or the
+    proposal count. ``count`` and ``seed`` must be integers (bool and other
+    types are rejected), ``seed`` nonnegative. Output is deterministic for a
+    fixed seed. With ``with_stats`` the samples come paired with the proposal
+    count and realized acceptance rate.
     """
     if not _is_count(count) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    count = int(count)
-    rng = np.random.default_rng(seed)
+    if not _is_count(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    count, seed = int(count), int(seed)
     envelope = 1.0 + model.coeffs.bound_value
     inverse_x = _InverseCdfTable(model.marginal_x)
     inverse_y = _InverseCdfTable(model.marginal_y)
 
+    bits = np.random.PCG64(seed)
+    # the x, y and acceptance streams, and the slice buffer they fill
+    streams = [np.random.Generator(np.random.PCG64(seed)) for _ in range(3)]
+    uniforms = np.empty((3, _SLICE_PROPOSALS))
     samples = np.empty((count, 2))
     filled = 0
     proposed = 0
     while filled < count:
         batch = min(_MAX_BATCH, max(4096, int((count - filled) * envelope * 1.2)))
-        u_x, u_y, u_accept = rng.random(batch), rng.random(batch), rng.random(batch)
+        round_start = bits.state
+        for k, stream in enumerate(streams):
+            stream.bit_generator.state = round_start
+            stream.bit_generator.advance(k * batch)
+        bits.advance(3 * batch)
         for start in range(0, batch, _SLICE_PROPOSALS):
-            part = slice(start, start + _SLICE_PROPOSALS)
-            xs = inverse_x(u_x[part])
-            ys = inverse_y(u_y[part])
-            accept = u_accept[part] * envelope < model.series_factor(xs, ys)
+            size = min(_SLICE_PROPOSALS, batch - start)
+            for stream, row in zip(streams, uniforms):
+                stream.random(out=row[:size])
+            u_x, u_y, u_accept = uniforms[:, :size]
+            xs = inverse_x(u_x)
+            ys = inverse_y(u_y)
+            accept = u_accept * envelope < model.series_factor(xs, ys)
             idx = np.nonzero(accept)[0][: count - filled]
             samples[filled : filled + idx.size, 0] = xs[idx]
             samples[filled : filled + idx.size, 1] = ys[idx]
@@ -400,8 +419,6 @@ def sample_joint(
                 break
         else:
             proposed += batch
-        # free this round's uniforms before the next round draws its own: memory holds one round
-        del u_x, u_y, u_accept
     if with_stats:
         return samples, SampleStats(proposals=proposed, acceptance_rate=count / proposed)
     return samples

@@ -211,6 +211,17 @@ class TestSample:
         assert main(["sample", "--fixture", "disc"]) == 1
         assert "error: config-error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(10**27)])
+    def test_seeds_outside_u64_are_rejected(self, capsys, monkeypatch, seed):
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the command ran"))
+        assert main(["sample", "--fixture", "fgm:0.2", "--seed", seed]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config-error: --seed ")
+
+    def test_largest_seed_is_accepted(self, capsys):
+        assert main(["sample", "--fixture", "fgm:0.2", "--count", "3", "--seed", str(2**64 - 1)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
 
 class TestOutputMode:
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,77 @@ class TestPinnedDraws:
         assert (digest, stats.proposals) == self.PINNED[case]
 
 
+def _whole_round_sampler(model, count, seed):
+    """The sampler with each round's uniforms drawn whole: the reference for its stream.
+
+    Round after round, ``batch`` x, y and acceptance uniforms come from three
+    ``rng.random(batch)`` calls on ``np.random.default_rng(seed)``, and the
+    whole round is transformed and tested at once.
+    """
+    rng = np.random.default_rng(seed)
+    envelope = 1.0 + model.coeffs.bound_value
+    inverse_x = lancaster._InverseCdfTable(model.marginal_x)
+    inverse_y = lancaster._InverseCdfTable(model.marginal_y)
+    parts, filled, proposed = [], 0, 0
+    while filled < count:
+        batch = min(lancaster._MAX_BATCH, max(4096, int((count - filled) * envelope * 1.2)))
+        u_x, u_y, u_accept = rng.random(batch), rng.random(batch), rng.random(batch)
+        xs, ys = inverse_x(u_x), inverse_y(u_y)
+        idx = np.nonzero(u_accept * envelope < model.series_factor(xs, ys))[0][: count - filled]
+        parts.append(np.column_stack([xs[idx], ys[idx]]))
+        filled += idx.size
+        proposed += int(idx[-1]) + 1 if filled == count else batch
+    return np.concatenate(parts), lancaster.SampleStats(proposed, count / proposed)
+
+
+class TestWholeRoundStream:
+    """sample_joint against the whole-round reference, draw for draw.
+
+    Unlike a digest, a mismatch here names the first draw that differs.
+    """
+
+    COUNTS = (1, 5, 4095, 20_000)
+    SEEDS = (0, 3, 2**40 + 7)
+
+    @pytest.fixture(scope="class")
+    def models(self, ce_model, independence_model):
+        return {
+            "headline": ce_model,
+            "beta-table": model_from_config(BETA_TABLE_CONFIG),
+            "independence": independence_model,
+        }
+
+    @pytest.mark.parametrize("slice_size", [None, 1000, "round"], ids=["default", "1000", "round"])
+    @pytest.mark.parametrize("max_batch", [4096, 5000, 1 << 20])
+    @pytest.mark.parametrize("name", ["headline", "beta-table", "independence"])
+    def test_draws_match_the_whole_round_sampler(self, monkeypatch, models, name, max_batch, slice_size):
+        monkeypatch.setattr(lancaster, "_MAX_BATCH", max_batch)
+        if slice_size is not None:
+            size = max_batch if slice_size == "round" else slice_size
+            monkeypatch.setattr(lancaster, "_SLICE_PROPOSALS", size)
+        cases = [(count, seed) for count in self.COUNTS for seed in self.SEEDS]
+        if max_batch == 1 << 20:
+            # two rounds, the first of 2^20 proposals, on the headline and beta-table models
+            cases.append((600_000, 0))
+        for count, seed in cases:
+            samples, stats = sample_joint(models[name], count, seed, with_stats=True)
+            expected, expected_stats = _whole_round_sampler(models[name], count, seed)
+            differ = np.flatnonzero(np.any(samples != expected, axis=1))
+            assert differ.size == 0, f"count {count}, seed {seed}: draw {differ[0]} differs first"
+            assert stats == expected_stats, f"count {count}, seed {seed}"
+
+
+class TestSamplerMemory:
+    def test_peak_is_the_samples_and_a_few_mib(self, ce_model):
+        tracemalloc.start()
+        try:
+            samples = sample_joint(ce_model, 1_000_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= samples.nbytes + 4 * 2**20
+
+
 class TestModelConfig:
     def test_round_trip_is_field_for_field_identical(self, ce_model):
         reloaded = model_from_config(model_to_config(ce_model))
@@ -552,6 +624,18 @@ class TestIntegerSampleCounts:
     def test_numpy_integers_are_accepted(self, ce_model):
         samples = sample_joint(ce_model, np.int64(5), 0)
         assert samples.tobytes() == sample_joint(ce_model, 5, 0).tobytes()
+
+
+class TestSampleSeeds:
+    @pytest.mark.parametrize("seed", [True, False, -1, 2.0, "3", None, [1, 2]])
+    def test_non_integer_or_negative_seeds_are_rejected(self, ce_model, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            sample_joint(ce_model, 5, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1)], ids=["int64", "uint64-max"])
+    def test_numpy_integers_are_accepted(self, ce_model, seed):
+        samples = sample_joint(ce_model, 5, seed)
+        assert samples.tobytes() == sample_joint(ce_model, 5, int(seed)).tobytes()
 
 
 # Each entry point that takes a count, and a valid count for it. Every one
