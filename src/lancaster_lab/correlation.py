@@ -135,9 +135,11 @@ def discretize_joint(
 ) -> DiscretizedJoint:
     """Point masses of a density on a Gauss-Legendre tensor grid over a rectangle.
 
-    The density may vanish on part of the rectangle (curved regions are
-    embedded in their bounding box). Mass is renormalized to 1 and nodes
-    whose marginal density falls below 1e-12 are dropped.
+    The density is called once, on the open grid of the two node axes (see
+    ``quadrature._values_on``), and may ignore an axis. It may vanish on part
+    of the rectangle (curved regions are embedded in their bounding box).
+    Mass is renormalized to 1 and nodes whose marginal density falls below
+    1e-12 are dropped.
     """
     if not _is_count(nodes_per_axis) or nodes_per_axis < 16:
         raise ValueError(f"nodes_per_axis must be an integer at least 16, got {nodes_per_axis!r}")
@@ -407,8 +409,8 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 1000, tol: float = 1e-
     mean with (numerically) zero variance means the operator annihilates
     mean-zero functions, so the maximal correlation is 0.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if not _is_count(max_iters) or max_iters < 1:
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     masses = joint.masses

@@ -45,24 +45,24 @@ FOURPOINT_PMF = np.array(
 
 @dataclass(frozen=True, eq=False)
 class Fixture:
-    """One named benchmark: how to build its joint, and its reference value."""
+    """One named benchmark: its joint at a grid size, and its reference value.
+
+    ``joint(grid)`` discretizes at ``grid`` nodes per axis, or at the
+    fixture's default when ``grid`` is None or 0; a pmf fixture ignores it.
+    ``model`` is the expansion model behind an fgm fixture, None otherwise.
+    """
 
     name: str
-    kind: str  # "density" | "pmf" | "model"
     reference_maxcorr: float
-    default_grid: int
-    density: Callable | None = None
-    support: tuple[tuple[float, float], tuple[float, float]] | None = None
-    pmf: np.ndarray | None = None
+    joint: Callable[..., DiscretizedJoint]
     model: LancasterModel | None = None
 
-    def joint(self, grid: int | None = None) -> DiscretizedJoint:
-        if self.kind == "pmf":
-            return joint_from_pmf(self.pmf, FOURPOINT_VALUES, FOURPOINT_VALUES)
-        nodes = int(grid) if grid else self.default_grid
-        if self.kind == "model":
-            return discretize_model(self.model, nodes)
-        return discretize_joint(self.density, self.support, nodes)
+
+def _gridded(discretize: Callable[[int], DiscretizedJoint], default_grid: int) -> Callable:
+    def joint(grid: int | None = None) -> DiscretizedJoint:
+        return discretize(int(grid) if grid else default_grid)
+
+    return joint
 
 
 def _pball_density(p: float) -> Callable:
@@ -75,25 +75,25 @@ def _pball_density(p: float) -> Callable:
     return density
 
 
+def _curved(density: Callable) -> Callable:
+    """joint(grid) of a density on the box [-1, 1]^2."""
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    return _gridded(lambda nodes: discretize_joint(density, box, nodes), DEFAULT_CURVED_GRID)
+
+
 def resolve_fixture(name: str) -> Fixture:
     """Look up a built-in fixture by name; parameterized names use 'name:value'."""
-    box = ((-1.0, 1.0), (-1.0, 1.0))
     if name == "disc":
         return Fixture(
             name=name,
-            kind="density",
             reference_maxcorr=1.0 / 3.0,
-            default_grid=DEFAULT_CURVED_GRID,
-            density=lambda x, y: np.where(x * x + y * y < 1.0, 1.0 / math.pi, 0.0),
-            support=box,
+            joint=_curved(lambda x, y: np.where(x * x + y * y < 1.0, 1.0 / math.pi, 0.0)),
         )
     if name == "fourpoint":
         return Fixture(
             name=name,
-            kind="pmf",
             reference_maxcorr=1.0,
-            default_grid=0,
-            pmf=FOURPOINT_PMF,
+            joint=lambda grid=None: joint_from_pmf(FOURPOINT_PMF, FOURPOINT_VALUES, FOURPOINT_VALUES),
         )
     if name.startswith("pball:"):
         try:
@@ -102,14 +102,7 @@ def resolve_fixture(name: str) -> Fixture:
             raise ValueError(f"cannot parse exponent in fixture name {name!r}") from None
         if not (p > 0.0 and math.isfinite(p)):
             raise ValueError("pball exponent must be a positive finite number")
-        return Fixture(
-            name=name,
-            kind="density",
-            reference_maxcorr=1.0 / (p + 1.0),
-            default_grid=DEFAULT_CURVED_GRID,
-            density=_pball_density(p),
-            support=box,
-        )
+        return Fixture(name=name, reference_maxcorr=1.0 / (p + 1.0), joint=_curved(_pball_density(p)))
     if name.startswith("fgm:"):
         try:
             rho1 = float(name.split(":", 1)[1])
@@ -119,9 +112,8 @@ def resolve_fixture(name: str) -> Fixture:
         model = build_model(uniform, uniform, (rho1,))
         return Fixture(
             name=name,
-            kind="model",
             reference_maxcorr=abs(rho1),
-            default_grid=DEFAULT_MODEL_GRID,
+            joint=_gridded(lambda nodes: discretize_model(model, nodes), DEFAULT_MODEL_GRID),
             model=model,
         )
     raise ValueError(f"unknown fixture {name!r}; expected disc, pball:p, fourpoint or fgm:rho1")

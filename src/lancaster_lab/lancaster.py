@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,9 +48,10 @@ _NEGATIVE_CLAMP = 1e-12
 
 _DEFAULT_MAX_DEGREE = 8
 
-# Config limits, checked before any system is built. Model verification
-# integrates on a quad_nodes x quad_nodes grid (8 n^2 bytes: 32 MiB at 2048),
-# and the sup norms take one eigenvalue solve per degree (O(N^4) in all).
+# Config limits, checked before any rule or system is built. Model
+# verification integrates on the tensor grid of the two rules (8 n^2 bytes:
+# 32 MiB at 2048 nodes each), and the sup norms take one eigenvalue solve per
+# degree (O(N^4) in all).
 _MAX_QUAD_NODES = 2048
 _MAX_DEGREE_LIMIT = 64
 
@@ -176,10 +177,6 @@ class LancasterModel:
     rule_y: QuadratureRule
     quad_nodes: int
 
-    @property
-    def rho(self) -> tuple[float, ...]:
-        return self.coeffs.rho
-
     def series_factor(self, x, y):
         """1 + sum_n rho_n phi_n(x) psi_n(y), broadcasting over array inputs."""
         n = len(self.coeffs)
@@ -199,34 +196,6 @@ class LancasterModel:
         value = fx * fy * self.series_factor(ax, ay)
         value = np.where((value < 0.0) & (value > -_NEGATIVE_CLAMP), 0.0, value)
         return value if (ax.ndim or ay.ndim) else float(value)
-
-    def conditional_density_x_given_y(self, x, y):
-        """f1(x) (1 + sum rho_n phi_n(x) psi_n(y)); needs f2(y) > 0."""
-        ay = np.asarray(y, dtype=float)
-        fy = self.marginal_y.density(ay)
-        if np.any(np.asarray(fy) <= 0.0):
-            raise ValueError(
-                "unsupported-conditioning-point: the conditioning marginal vanishes at y"
-            )
-        ax = np.asarray(x, dtype=float)
-        value = self.marginal_x.density(ax) * self.series_factor(ax, ay)
-        value = np.where((value < 0.0) & (value > -_NEGATIVE_CLAMP), 0.0, value)
-        return value if (ax.ndim or ay.ndim) else float(value)
-
-    def marginal_residual(self, joint_density: Callable | None = None) -> tuple[float, float]:
-        """Sup over a 128-point grid of |integrated joint minus marginal|, both axes.
-
-        ``joint_density`` overrides the model's own density; it exists so test
-        suites can feed deliberately corrupted densities as negative controls.
-        """
-        f = self.density if joint_density is None else joint_density
-        grid_x = np.linspace(*self.marginal_x.support, 128)
-        grid_y = np.linspace(*self.marginal_y.support, 128)
-        along_y = _values_on(f, grid_x, self.rule_y.nodes)
-        res_x = np.max(np.abs(along_y @ self.rule_y.weights - self.marginal_x.density(grid_x)))
-        along_x = _values_on(f, self.rule_x.nodes, grid_y)
-        res_y = np.max(np.abs(self.rule_x.weights @ along_x - self.marginal_y.density(grid_y)))
-        return float(res_x), float(res_y)
 
 
 def transpose_model(model: LancasterModel) -> LancasterModel:
@@ -427,12 +396,17 @@ def sample_joint(
 # -- JSON-facing model configuration --------------------------------------
 
 
+# The config names of each marginal kind's params, in MarginalSpec's order.
+_MARGINAL_PARAMS = {"uniform": (), "beta": ("a", "b"), "table": ("x", "density")}
+
+
 def _marginal_to_config(marginal: MarginalSpec) -> dict:
     cfg: dict = {"kind": marginal.kind, "support": list(marginal.support)}
-    if marginal.kind == "beta":
-        cfg["params"] = {"a": marginal.params[0], "b": marginal.params[1]}
-    elif marginal.kind == "table":
-        cfg["params"] = {"x": list(marginal.params[0]), "density": list(marginal.params[1])}
+    if marginal.params:
+        cfg["params"] = {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in zip(_MARGINAL_PARAMS[marginal.kind], marginal.params)
+        }
     return cfg
 
 
@@ -441,22 +415,15 @@ def _marginal_from_config(cfg: dict) -> MarginalSpec:
         raise ValueError("marginal config must be an object with 'kind' and 'support'")
     kind = cfg["kind"]
     support = tuple(float(v) for v in cfg["support"])
+    names = _MARGINAL_PARAMS.get(kind) if isinstance(kind, str) else None
+    if names is None:
+        raise ValueError(f"unknown marginal kind {kind!r}")
     params = cfg.get("params") or {}
-    if kind == "uniform":
-        return MarginalSpec("uniform", support)
-    if kind == "beta":
-        try:
-            return MarginalSpec("beta", support, (float(params["a"]), float(params["b"])))
-        except KeyError as exc:
-            raise ValueError("beta marginal config needs params {'a': .., 'b': ..}") from exc
-    if kind == "table":
-        try:
-            knots = tuple(float(v) for v in params["x"])
-            values = tuple(float(v) for v in params["density"])
-        except KeyError as exc:
-            raise ValueError("table marginal config needs params {'x': [..], 'density': [..]}") from exc
-        return MarginalSpec("table", support, (knots, values))
-    raise ValueError(f"unknown marginal kind {kind!r}")
+    try:
+        values = tuple(params[name] for name in names)
+    except KeyError as exc:
+        raise ValueError(f"{kind} marginal config needs params {list(names)}") from exc
+    return MarginalSpec(kind, support, values)
 
 
 def model_to_config(model: LancasterModel) -> dict:
@@ -496,7 +463,8 @@ def model_from_config(cfg: dict) -> LancasterModel:
     must be present; ``max_degree`` defaults to max(8, coefficient count).
     Values of the wrong JSON type raise ValueError; ``N``, ``max_degree``
     and ``quad_nodes`` must be integers, ``max_degree`` (or, without it, the
-    coefficient count) at most 64 and ``quad_nodes`` at most 2048.
+    coefficient count) at most 64 and ``quad_nodes`` at most 2048, and so
+    must each marginal's rule (a table's has at least 16 nodes per segment).
     """
     if not isinstance(cfg, dict):
         raise ValueError("model config must be a JSON object")
@@ -533,6 +501,13 @@ def model_from_config(cfg: dict) -> LancasterModel:
         else:
             max_degree = max(_DEFAULT_MAX_DEGREE, count)
         quad_nodes = _config_count(cfg, "quad_nodes", _DEFAULT_QUAD_NODES, _MAX_QUAD_NODES)
+        for key, marginal in (("marginal_x", marginal_x), ("marginal_y", marginal_y)):
+            size = marginal.rule_size(quad_nodes)
+            if size > _MAX_QUAD_NODES:
+                raise ValueError(
+                    f"model config {key!r} makes a {size}-node rule at quad_nodes {quad_nodes}"
+                    f" (a table's rule grows with its knots); at most {_MAX_QUAD_NODES} nodes"
+                )
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model config: {exc}") from exc
 

@@ -43,6 +43,9 @@ _TABLE_RENORM_TOL = 1e-6
 _DEGENERATE_BETA = 1e-13
 _DEFAULT_QUAD_NODES = 128
 
+# A table's composite rule puts at least this many nodes on each knot segment.
+_MIN_SEGMENT_NODES = 16
+
 
 class DegenerateMarginalError(ValueError):
     """The marginal carries fewer effective support points than requested degrees."""
@@ -146,6 +149,17 @@ class MarginalSpec:
             out = np.where(inside, np.interp(arr, knots, values), 0.0)
         return out if arr.ndim else float(out)
 
+    def rule_size(self, n_nodes: int) -> int:
+        """The node count of ``quadrature_rule(n_nodes)``, without building the rule.
+
+        A table spreads n_nodes over its knot segments, at least
+        ``_MIN_SEGMENT_NODES`` per segment, so its rule can be larger.
+        """
+        if self.kind != "table":
+            return int(n_nodes)
+        segments = len(self.params[0]) - 1
+        return segments * max(_MIN_SEGMENT_NODES, -(-int(n_nodes) // segments))
+
     def quadrature_rule(self, n_nodes: int) -> QuadratureRule:
         """A rule exact for polynomials times this density.
 
@@ -154,8 +168,7 @@ class MarginalSpec:
         """
         if self.kind == "table":
             knots = self.params[0]
-            per_segment = max(16, -(-int(n_nodes) // (len(knots) - 1)))
-            return composite_gauss_legendre(knots, per_segment)
+            return composite_gauss_legendre(knots, self.rule_size(n_nodes) // (len(knots) - 1))
         return gauss_legendre_rule(int(n_nodes), *self.support)
 
     def measure(self, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,6 @@ makes concurrent use safe without coordination.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -141,25 +140,25 @@ def composite_gauss_legendre(breakpoints: Sequence[float], nodes_per_segment: in
 
 
 def _values_on(f: Callable, *axes: np.ndarray) -> np.ndarray:
-    """f on the ``ij`` tensor grid of one or two node axes.
+    """f on the ``ij`` tensor grid of one or two node axes, from one call.
 
     f receives the open grid: with two axes of n and m nodes, arrays of shapes
-    (n, 1) and (1, m). It must broadcast them like a ufunc to an (n, m) result,
-    or to (k, n, m) when it has k components; a callable that fails or returns
-    another shape is evaluated point by point instead, in row-major order.
+    (n, 1) and (1, m). Its result is broadcast to the grid, (n, m), or to
+    (k, n, m) when it has k components, so f may ignore an axis or return a
+    scalar; a broadcast result is copied out, so its sums match those of a
+    full one bit for bit. A callable that rejects arrays raises its own error.
     """
     shape = tuple(axis.size for axis in axes)
-    try:
-        values = np.asarray(f(*np.meshgrid(*axes, indexing="ij", sparse=True)), dtype=float)
-        if values.shape[-len(shape) :] == shape and values.ndim <= len(shape) + 1:
-            return values
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.reshape([float(f(*point)) for point in itertools.product(*axes)], shape)
+    values = np.asarray(f(*np.meshgrid(*axes, indexing="ij", sparse=True)), dtype=float)
+    grid = values.shape[: max(values.ndim - len(shape), 0)] + shape
+    return values if values.shape == grid else np.broadcast_to(values, grid).copy()
 
 
 def integrate(f: Callable, rule: QuadratureRule) -> float:
-    """Weighted sum of f over the rule's nodes."""
+    """Weighted sum of f over the rule's nodes.
+
+    f is called once, on the array of nodes; a scalar result is a constant.
+    """
     values = _values_on(f, rule.nodes)
     if not np.all(np.isfinite(values)):
         bad = rule.nodes[~np.isfinite(values)][0]
@@ -168,7 +167,11 @@ def integrate(f: Callable, rule: QuadratureRule) -> float:
 
 
 def integrate_2d(f: Callable, rule_x: QuadratureRule, rule_y: QuadratureRule) -> float:
-    """Tensor-product quadrature of f(x, y) over the rectangle of the two rules."""
+    """Tensor-product quadrature of f(x, y) over the rectangle of the two rules.
+
+    f is called once, on the open grid of the two node axes (see ``_values_on``),
+    and may ignore an axis.
+    """
     values = _values_on(f, rule_x.nodes, rule_y.nodes)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite-evaluation: integrand is not finite on the grid")

@@ -83,8 +83,8 @@ class LinearRegressionResult(NamedTuple):
         return abs(self.a1) > STRICTNESS_THRESHOLD and abs(self.b1) > STRICTNESS_THRESHOLD
 
 
-def _conditioning_grid(support: tuple[float, float], count: int = _GRID_POINTS) -> np.ndarray:
-    return np.linspace(*support, count + 2)[1:-1]
+def _conditioning_grid(support: tuple[float, float]) -> np.ndarray:
+    return np.linspace(*support, _GRID_POINTS + 2)[1:-1]
 
 
 def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np.ndarray:
@@ -94,9 +94,10 @@ def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np
     is the marginal mean of h plus sum_n rho_n <h, phi_n> psi_n(y); vectorized
     over y. ``h`` may be vector-valued: when its values on the n rule nodes
     have shape (k, n), the k conditional expectations come back stacked along
-    the first axis. All projections <h, phi_n> and the series sum are two
-    matrix products. A callable that only takes scalars is evaluated node by
-    node. Requires the conditioning marginal to be positive at y.
+    the first axis. h is called once, on the array of nodes; a scalar result
+    is a constant, and a callable that rejects arrays raises its own error.
+    All projections <h, phi_n> and the series sum are two matrix products.
+    Requires the conditioning marginal to be positive at y.
     """
     y_arr = np.asarray(y, dtype=float)
     density_y = np.asarray(model.marginal_y.density(y_arr))
@@ -295,10 +296,6 @@ class CounterexampleReport:
     gap_positive: bool
     degenerate_comparison: bool
     counterexample_confirmed: bool
-
-    @property
-    def gap(self) -> float:
-        return self.correlation.gap
 
 
 def counterexample_report(

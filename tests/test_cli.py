@@ -17,6 +17,17 @@ HEADLINE_CONFIG = {
     "max_degree": 8,
 }
 
+
+def table_marginal(knots: int) -> dict:
+    """The uniform density on [0, 1] as a table of ``knots`` equispaced knots.
+
+    At the default quad_nodes of 128 its rule has max(16, ceil(128 / segments))
+    nodes on each of its knots - 1 segments.
+    """
+    x = np.linspace(0.0, 1.0, knots).tolist()
+    return {"kind": "table", "support": [0.0, 1.0], "params": {"x": x, "density": [1.0] * knots}}
+
+
 VIOLATING_CONFIG = {
     "marginal_x": {"kind": "uniform", "support": [0, 1]},
     "marginal_y": {"kind": "uniform", "support": [0, 1]},
@@ -448,6 +459,24 @@ class TestErrorHandling:
         assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
         assert f"{key!r} must be at most" in errors[0]
 
+    @pytest.mark.parametrize("axis", ["marginal_x", "marginal_y"])
+    def test_a_table_whose_rule_is_oversized_ends_in_one_config_error_before_any_build(
+        self, tmp_path, capsys, monkeypatch, axis
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built from an oversized config")
+
+        monkeypatch.setattr("lancaster_lab.lancaster.build_system", no_build)
+        # 1999 segments of at least 16 nodes each: a 31 984-node rule at quad_nodes 128
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        cfg[axis] = table_marginal(2000)
+        path = tmp_path / "oversized_table.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--model", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
+        assert f"{axis!r} makes a 31984-node rule at quad_nodes 128" in errors[0]
+
     @pytest.mark.parametrize(
         "mutate,named",
         [
@@ -470,7 +499,11 @@ class TestErrorHandling:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: config-error: model config {named} must be at most 64, got 100"]
 
-    @pytest.mark.parametrize("key,value", [("quad_nodes", 2048), ("max_degree", 64)])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("quad_nodes", 2048), ("max_degree", 64), ("marginal_x", table_marginal(129))],
+        ids=["quad_nodes", "max_degree", "table-of-2048-nodes"],
+    )
     def test_counts_at_their_limit_reach_the_build(self, monkeypatch, key, value):
         class Reached(Exception):
             pass

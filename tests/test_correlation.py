@@ -218,9 +218,11 @@ class TestMaxcorrAce:
         with pytest.raises(ValueError, match="degenerate-start"):
             maxcorr_ace(joint)
 
-    def test_rejects_bad_tolerance(self, ce_joint):
-        with pytest.raises(ValueError):
-            maxcorr_ace(ce_joint, tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_rejects_bad_tolerance(self, ce_joint, tol):
+        # NaN compares false both ways: `tol <= 0` let it through to no-convergence
+        with pytest.raises(ValueError, match="tol must be positive"):
+            maxcorr_ace(ce_joint, max_iters=1, tol=tol)
 
 
 def brute_force_2x2(pmf):

@@ -187,20 +187,15 @@ class TestIntegrate:
         value = integrate(lambda x: np.sqrt(3.0) * (2.0 * x - 1.0), rule)
         assert value == pytest.approx(0.0, abs=1e-12)
 
-    def test_scalar_only_function_is_accepted(self):
-        rule = gauss_legendre_rule(8, 0.0, 1.0)
-        value = integrate(lambda x: float(x) ** 2, rule)
-        assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
-
     def test_non_finite_evaluation_raises(self):
         rule = gauss_legendre_rule(8, 0.0, 1.0)
         with pytest.raises(ValueError, match="non-finite-evaluation"):
             integrate(lambda x: np.where(x > 0.5, np.nan, 1.0), rule)
 
 
-# Every caller of the shared vectorized-or-pointwise evaluation, fed a
-# one-argument and a two-argument callable.
-POINTWISE_ROUTES = {
+# Every caller of the shared open-grid evaluation, fed a one-argument and a
+# two-argument callable.
+OPEN_GRID_ROUTES = {
     "integrate": lambda one, two, model: integrate(one, model.rule_x),
     "integrate_2d": lambda one, two, model: integrate_2d(two, model.rule_x, model.rule_y),
     "discretize_joint": lambda one, two, model: discretize_joint(
@@ -212,19 +207,33 @@ POINTWISE_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("route", sorted(POINTWISE_ROUTES))
-def test_scalar_only_callables_match_vectorized_ones(route, ce_model):
-    def one(x):
-        return x * x + 1.0
+@pytest.mark.parametrize("route", sorted(OPEN_GRID_ROUTES))
+def test_a_callable_that_ignores_an_axis_matches_a_broadcasting_one(route, ce_model):
+    compute = OPEN_GRID_ROUTES[route]
+    # a constant one-argument callable ignores its only axis; the two-argument one ignores y
+    ignoring = compute(lambda x: 2.5, lambda x, y: x * x + 1.0, ce_model)
+    broadcasting = compute(
+        lambda x: np.full(np.shape(x), 2.5), lambda x, y: x * x + 1.0 + 0.0 * y, ce_model
+    )
+    assert np.asarray(ignoring).tobytes() == np.asarray(broadcasting).tobytes()
 
-    def two(x, y):
-        return x * y + x
 
-    compute = POINTWISE_ROUTES[route]
-    vectorized = compute(one, two, ce_model)
-    # float() rejects arrays, so these are evaluated node by node
-    pointwise = compute(lambda x: one(float(x)), lambda x, y: two(float(x), float(y)), ce_model)
-    np.testing.assert_array_equal(pointwise, vectorized)
+@pytest.mark.parametrize("route", sorted(OPEN_GRID_ROUTES))
+def test_a_scalar_only_callable_raises_its_own_error_after_one_call(route, ce_model):
+    class RejectsArrays(TypeError):  # the error float() raises on an array
+        pass
+
+    calls = []
+
+    def scalar_only(*args):
+        calls.append(args)
+        if any(np.ndim(arg) for arg in args):
+            raise RejectsArrays
+        return 1.0
+
+    with pytest.raises(RejectsArrays):
+        OPEN_GRID_ROUTES[route](scalar_only, scalar_only, ce_model)
+    assert len(calls) == 1
 
 
 class TestIntegrate2d:
@@ -299,16 +308,17 @@ class TestOpenGrid:
         assert values.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize(
-        "f",
+        "f, components",
         [
-            lambda x, y: np.asarray(x) * 2.0,  # ignores y: the column comes back
-            lambda x, y: float(x) * float(y) + 1.0,  # rejects arrays
+            (lambda x, y: np.asarray(x) * 2.0, ()),  # ignores y: a column comes back
+            (lambda x, y: 3.0, ()),
+            (lambda x, y: np.stack([x * 2.0, x + 1.0]), (2,)),  # two columns
         ],
-        ids=["wrong-shape", "scalar-only"],
+        ids=["column", "scalar", "stacked-columns"],
     )
-    def test_callables_that_do_not_broadcast_fall_back_point_by_point(self, f):
+    def test_results_that_ignore_an_axis_are_broadcast_to_the_grid(self, f, components):
         x, y = np.linspace(0.0, 1.0, 4), np.linspace(2.0, 3.0, 6)
-        expected = np.array([[f(np.float64(a), np.float64(b)) for b in y] for a in x])
         values = _values_on(f, x, y)
-        assert values.shape == (4, 6)
-        assert values.tobytes() == expected.tobytes()
+        assert values.shape == components + (4, 6)
+        full = np.broadcast_to(f(*np.meshgrid(x, y, indexing="ij")), components + (4, 6))
+        assert values.tobytes() == full.tobytes()
