@@ -66,7 +66,15 @@ def _gridded(discretize: Callable[[int], DiscretizedJoint], default_grid: int) -
 
 
 def _pball_density(p: float) -> Callable:
-    area = 4.0 * math.gamma(1.0 + 1.0 / p) ** 2 / math.gamma(1.0 + 2.0 / p)
+    try:
+        area = 4.0 * math.gamma(1.0 + 1.0 / p) ** 2 / math.gamma(1.0 + 2.0 / p)
+    except OverflowError:
+        area = math.inf
+    if not math.isfinite(area):
+        raise ValueError(
+            f"pball exponent {p!r} is too small: the area 4 Gamma(1 + 1/p)^2 / Gamma(1 + 2/p)"
+            " is not representable"
+        )
 
     def density(x, y):
         inside = np.abs(x) ** p + np.abs(y) ** p < 1.0

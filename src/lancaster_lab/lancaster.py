@@ -14,6 +14,7 @@ series factor over the envelope 1 + bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -48,7 +49,7 @@ _NEGATIVE_CLAMP = 1e-12
 
 _DEFAULT_MAX_DEGREE = 8
 
-# Config limits, checked before any rule or system is built. Model
+# Model limits, checked by every build before any rule or system. Model
 # verification integrates on the tensor grid of the two rules (8 n^2 bytes:
 # 32 MiB at 2048 nodes each), and the sup norms take one eigenvalue solve per
 # degree (O(N^4) in all).
@@ -165,7 +166,7 @@ def build_sequence_linear(c, d, count: int, lam: float) -> CoefficientSequence:
 class LancasterModel:
     """Two marginals, their orthonormal systems, and a validated coefficient sequence.
 
-    ``quad_nodes`` is the node count the systems and the rules were built with.
+    ``quad_nodes`` built the systems and the rules that the mass check and regressions integrate on.
     """
 
     marginal_x: MarginalSpec
@@ -221,29 +222,42 @@ def build_model(
 ) -> LancasterModel:
     """Validate and assemble a model from marginals and a coefficient sequence.
 
-    Construction fails with BoundViolationError when the coefficient mass
-    exceeds the admissibility bound. The finished model is verified on a
-    256 x 256 grid (nonnegative density) and by tensor quadrature
-    (total mass 1 within 1e-9).
+    A ``max_degree`` above 64 or below the coefficient count, a ``quad_nodes``
+    below 1, or a rule above 2048 nodes fails before anything is built; a
+    coefficient mass above the admissibility bound fails with
+    BoundViolationError. The model is verified on a 256 x 256 grid
+    (nonnegative density) and by tensor quadrature (total mass 1 within 1e-9).
     """
     rho = tuple(float(r) for r in rho)
-    if len(rho) > max_degree:
-        raise ValueError(
-            f"max_degree ({max_degree}) must be at least the coefficient count ({len(rho)})"
-        )
+    coefficients = functools.partial(validate_coefficients, rho)
+    return _build_model(marginal_x, marginal_y, len(rho), coefficients, max_degree, quad_nodes)
+
+
+def _build_model(marginal_x, marginal_y, count, coefficients, max_degree, quad_nodes) -> LancasterModel:
+    """Every model is built here; ``coefficients(c, d)`` makes ``count`` of them from the sup norms."""
+    limits = (("max_degree", max_degree, _MAX_DEGREE_LIMIT), ("quad_nodes", quad_nodes, _MAX_QUAD_NODES))
+    for name, value, limit in limits:
+        if not _is_count(value) or value < 1:
+            raise ValueError(f"{name!r} must be an integer >= 1, got {value!r}")
+        if value > limit:
+            raise ValueError(f"{name!r} must be at most {limit}, got {value}")
+    if count > max_degree:
+        raise ValueError(f"max_degree ({max_degree}) must be at least the coefficient count ({count})")
+    for name, marginal in (("marginal_x", marginal_x), ("marginal_y", marginal_y)):
+        size = marginal.rule_size(quad_nodes)
+        if size > _MAX_QUAD_NODES:
+            raise ValueError(
+                f"{name!r} makes a {size}-node rule at quad_nodes {quad_nodes}"
+                f" (a table's rule grows with its knots); at most {_MAX_QUAD_NODES} nodes"
+            )
     system_x = build_system(marginal_x, max_degree, quad_nodes)
     system_y = build_system(marginal_y, max_degree, quad_nodes)
-    coeffs = validate_coefficients(rho, system_x.sup_norms[1:], system_y.sup_norms[1:])
-    return _assemble_model(marginal_x, marginal_y, system_x, system_y, coeffs, quad_nodes)
-
-
-def _assemble_model(marginal_x, marginal_y, system_x, system_y, coeffs, quad_nodes) -> LancasterModel:
     model = LancasterModel(
         marginal_x=marginal_x,
         marginal_y=marginal_y,
         system_x=system_x,
         system_y=system_y,
-        coeffs=coeffs,
+        coeffs=coefficients(system_x.sup_norms[1:], system_y.sup_norms[1:]),
         rule_x=marginal_x.quadrature_rule(quad_nodes),
         rule_y=marginal_y.quadrature_rule(quad_nodes),
         quad_nodes=int(quad_nodes),
@@ -414,13 +428,15 @@ def _marginal_from_config(cfg: dict) -> MarginalSpec:
     if not isinstance(cfg, dict) or "kind" not in cfg or "support" not in cfg:
         raise ValueError("marginal config must be an object with 'kind' and 'support'")
     kind = cfg["kind"]
-    support = tuple(float(v) for v in cfg["support"])
+    support = _config_number(cfg["support"], "'support'", array=True)
     names = _MARGINAL_PARAMS.get(kind) if isinstance(kind, str) else None
     if names is None:
         raise ValueError(f"unknown marginal kind {kind!r}")
     params = cfg.get("params") or {}
     try:
-        values = tuple(params[name] for name in names)
+        values = tuple(
+            _config_number(params[name], f"{kind} param {name!r}", array=kind == "table") for name in names
+        )
     except KeyError as exc:
         raise ValueError(f"{kind} marginal config needs params {list(names)}") from exc
     return MarginalSpec(kind, support, values)
@@ -442,17 +458,19 @@ def model_to_config(model: LancasterModel) -> dict:
     return cfg
 
 
-def _config_count(cfg: dict, key: str, default: int | None = None, limit: int | None = None) -> int:
-    """The integer ``cfg[key]`` (``default`` when absent), at most ``limit``.
+def _config_number(value, key: str, array: bool = False):
+    """The JSON number ``value`` as a float; with ``array``, a JSON array of them as a tuple.
 
-    Other types, bool included, are malformed.
+    A bool, a string, an object or null is malformed, alone or in the array.
     """
-    value = cfg.get(key, default)
-    if not _is_count(value):
-        raise ValueError(f"malformed model config: {key!r} must be an integer, got {value!r}")
-    if limit is not None and value > limit:
-        raise ValueError(f"model config {key!r} must be at most {limit}, got {value}")
-    return int(value)
+    def is_number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    valid = isinstance(value, list) and all(map(is_number, value)) if array else is_number(value)
+    if not valid:
+        kind = "an array of numbers" if array else "a number"
+        raise ValueError(f"malformed model config: {key} must be {kind}, got {value!r}")
+    return tuple(float(v) for v in value) if array else float(value)
 
 
 def model_from_config(cfg: dict) -> LancasterModel:
@@ -460,11 +478,12 @@ def model_from_config(cfg: dict) -> LancasterModel:
 
     Exactly one of ``rho`` (array of reals) or ``rho_builder``
     ({"type": "quadratic" | "linear", "N": int, "lambda": real for linear})
-    must be present; ``max_degree`` defaults to max(8, coefficient count).
-    Values of the wrong JSON type raise ValueError; ``N``, ``max_degree``
-    and ``quad_nodes`` must be integers, ``max_degree`` (or, without it, the
-    coefficient count) at most 64 and ``quad_nodes`` at most 2048, and so
-    must each marginal's rule (a table's has at least 16 nodes per segment).
+    must be present; ``max_degree`` defaults to max(8, coefficient count),
+    and without it the coefficient count must be at most 64. Values of the
+    wrong JSON type raise ValueError: a number is an integer or a float
+    (never a bool or a string), an array of numbers is an array, and ``N``
+    must be an integer. The model is built as ``build_model`` builds it,
+    under the same limits on ``max_degree``, ``quad_nodes`` and the rules.
     """
     if not isinstance(cfg, dict):
         raise ValueError("model config must be a JSON object")
@@ -478,7 +497,7 @@ def model_from_config(cfg: dict) -> LancasterModel:
         if has_rho == ("rho_builder" in cfg):
             raise ValueError("model config needs exactly one of 'rho' or 'rho_builder'")
         if has_rho:
-            rho = tuple(float(r) for r in cfg["rho"])
+            rho = _config_number(cfg["rho"], "'rho'", array=True)
             if not rho:
                 raise ValueError("'rho' must be a non-empty array")
             count = len(rho)
@@ -486,39 +505,29 @@ def model_from_config(cfg: dict) -> LancasterModel:
             builder = cfg["rho_builder"]
             if not isinstance(builder, dict) or "type" not in builder or "N" not in builder:
                 raise ValueError("'rho_builder' must be an object with 'type' and 'N'")
-            count = _config_count(builder, "N")
-            if builder["type"] not in ("quadratic", "linear"):
-                raise ValueError(f"unknown rho_builder type {builder['type']!r}")
-            if builder["type"] == "linear":
+            count = builder["N"]
+            if not _is_count(count):
+                raise ValueError(f"malformed model config: 'N' must be an integer, got {count!r}")
+            if builder["type"] == "quadratic":
+                coefficients = functools.partial(build_sequence_quadratic, count=count)
+            elif builder["type"] == "linear":
                 if "lambda" not in builder:
                     raise ValueError("linear rho_builder needs a 'lambda' value")
-                lam = float(builder["lambda"])
+                lam = _config_number(builder["lambda"], "rho_builder 'lambda'")
+                coefficients = functools.partial(build_sequence_linear, count=count, lam=lam)
+            else:
+                raise ValueError(f"unknown rho_builder type {builder['type']!r}")
         if "max_degree" in cfg:
-            max_degree = _config_count(cfg, "max_degree", limit=_MAX_DEGREE_LIMIT)
+            max_degree = cfg["max_degree"]
         elif count > _MAX_DEGREE_LIMIT:
             source = "'rho' length" if has_rho else "rho_builder 'N'"
             raise ValueError(f"model config {source} must be at most {_MAX_DEGREE_LIMIT}, got {count}")
         else:
             max_degree = max(_DEFAULT_MAX_DEGREE, count)
-        quad_nodes = _config_count(cfg, "quad_nodes", _DEFAULT_QUAD_NODES, _MAX_QUAD_NODES)
-        for key, marginal in (("marginal_x", marginal_x), ("marginal_y", marginal_y)):
-            size = marginal.rule_size(quad_nodes)
-            if size > _MAX_QUAD_NODES:
-                raise ValueError(
-                    f"model config {key!r} makes a {size}-node rule at quad_nodes {quad_nodes}"
-                    f" (a table's rule grows with its knots); at most {_MAX_QUAD_NODES} nodes"
-                )
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model config: {exc}") from exc
 
+    quad_nodes = cfg.get("quad_nodes", _DEFAULT_QUAD_NODES)
     if has_rho:
         return build_model(marginal_x, marginal_y, rho, max_degree=max_degree, quad_nodes=quad_nodes)
-    # a builder derives rho from the sup norms, so the systems are built once, here
-    system_x = build_system(marginal_x, max_degree, quad_nodes)
-    system_y = build_system(marginal_y, max_degree, quad_nodes)
-    c, d = system_x.sup_norms[1:], system_y.sup_norms[1:]
-    if builder["type"] == "quadratic":
-        coeffs = build_sequence_quadratic(c, d, count)
-    else:
-        coeffs = build_sequence_linear(c, d, count, lam)
-    return _assemble_model(marginal_x, marginal_y, system_x, system_y, coeffs, quad_nodes)
+    return _build_model(marginal_x, marginal_y, count, coefficients, max_degree, quad_nodes)

@@ -154,12 +154,25 @@ def _values_on(f: Callable, *axes: np.ndarray) -> np.ndarray:
     return values if values.shape == grid else np.broadcast_to(values, grid).copy()
 
 
+def _field_on(f: Callable, *axes: np.ndarray) -> np.ndarray:
+    """``_values_on`` for a callable with one value per grid point; stacked values are an error."""
+    values = _values_on(f, *axes)
+    if values.ndim > len(axes):
+        grid = tuple(axis.size for axis in axes)
+        raise ValueError(
+            f"stacked-evaluation: the callable's values have shape {values.shape} on a grid of"
+            f" shape {grid}; one value per grid point is expected"
+        )
+    return values
+
+
 def integrate(f: Callable, rule: QuadratureRule) -> float:
     """Weighted sum of f over the rule's nodes.
 
-    f is called once, on the array of nodes; a scalar result is a constant.
+    f is called once, on the array of nodes; a scalar result is a constant,
+    and stacked components raise ValueError.
     """
-    values = _values_on(f, rule.nodes)
+    values = _field_on(f, rule.nodes)
     if not np.all(np.isfinite(values)):
         bad = rule.nodes[~np.isfinite(values)][0]
         raise ValueError(f"non-finite-evaluation: integrand is not finite at node {bad!r}")
@@ -170,9 +183,9 @@ def integrate_2d(f: Callable, rule_x: QuadratureRule, rule_y: QuadratureRule) ->
     """Tensor-product quadrature of f(x, y) over the rectangle of the two rules.
 
     f is called once, on the open grid of the two node axes (see ``_values_on``),
-    and may ignore an axis.
+    and may ignore an axis; stacked components raise ValueError.
     """
-    values = _values_on(f, rule_x.nodes, rule_y.nodes)
+    values = _field_on(f, rule_x.nodes, rule_y.nodes)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite-evaluation: integrand is not finite on the grid")
     return float(rule_x.weights @ values @ rule_y.weights)

@@ -88,7 +88,7 @@ def _conditioning_grid(support: tuple[float, float]) -> np.ndarray:
 
 
 def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np.ndarray:
-    """E(h(X) | Y = y) by quadrature against the conditional density.
+    """E(h(X) | Y = y) by quadrature on ``model.rule_x`` against the conditional density.
 
     Expands the conditional density in the polynomial system, so the result
     is the marginal mean of h plus sum_n rho_n <h, phi_n> psi_n(y); vectorized
@@ -105,7 +105,8 @@ def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np
         raise ValueError(
             "unsupported-conditioning-point: the conditioning marginal vanishes at y"
         )
-    nodes, masses = model.marginal_x.measure(model.quad_nodes)
+    nodes = model.rule_x.nodes
+    masses = model.rule_x.weights * model.marginal_x.density(nodes)
     h_vals = _values_on(h, nodes)
     if not np.all(np.isfinite(h_vals)):
         raise ValueError("non-finite-evaluation: h is not finite on the support")

@@ -28,6 +28,8 @@ def table_marginal(knots: int) -> dict:
     return {"kind": "table", "support": [0.0, 1.0], "params": {"x": x, "density": [1.0] * knots}}
 
 
+BETA_MARGINAL = {"kind": "beta", "support": [0, 1], "params": {"a": 2, "b": 3}}
+
 VIOLATING_CONFIG = {
     "marginal_x": {"kind": "uniform", "support": [0, 1]},
     "marginal_y": {"kind": "uniform", "support": [0, 1]},
@@ -413,9 +415,22 @@ class TestErrorHandling:
             lambda cfg: cfg["marginal_x"].update(support=5),
             lambda cfg: cfg.pop("rho") and cfg.update(rho_builder={"type": "quadratic", "N": [4]}),
             lambda cfg: cfg.update(max_degree=float("inf")),
+            # a string, a bool or an object where a number or an array of numbers belongs
+            lambda cfg: cfg["marginal_x"].update(support="05"),
+            lambda cfg: cfg.update(rho="0"),
+            lambda cfg: cfg.update(rho={"0.1": 1}),
+            lambda cfg: cfg.update(marginal_x={**BETA_MARGINAL, "params": {"a": True, "b": 3}}),
+            lambda cfg: cfg.update(marginal_x={**BETA_MARGINAL, "params": {"a": 2, "b": "3"}}),
+            lambda cfg: cfg.pop("rho") and cfg.update(
+                rho_builder={"type": "linear", "N": 2, "lambda": "0.01"}
+            ),
         ],
     )
-    def test_malformed_value_types_end_in_one_config_error(self, tmp_path, capsys, mutate):
+    def test_malformed_value_types_end_in_one_config_error(self, tmp_path, capsys, monkeypatch, mutate):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built from a malformed config")
+
+        monkeypatch.setattr("lancaster_lab.lancaster.build_system", no_build)
         cfg = json.loads(json.dumps(HEADLINE_CONFIG))
         mutate(cfg)
         path = tmp_path / "malformed.json"

@@ -5,7 +5,8 @@ code in {1, 2, 3}; a run that succeeds prints no error line, and no run
 raises a warning. Configs are run for real, with integers kept small so that
 a config that happens to be valid builds quickly. Flag values of any size go
 only through the argument parser and ``RunConfig``'s limits: ``run`` is
-patched, so nothing is allocated.
+patched, so nothing is allocated. Fixture names, parsable or not, run
+``maxcorr`` for real at grid 16.
 """
 
 import contextlib
@@ -171,3 +172,20 @@ def test_flag_values_meet_the_limits_or_end_in_one_error_line(command, flags):
     else:
         _assert_one_outcome(code, lines, caught)
         assert code == 1
+
+
+FIXTURE_NAMES = st.one_of(
+    st.tuples(st.sampled_from(["pball:", "fgm:"]), st.floats(allow_nan=True, allow_infinity=True)).map(
+        lambda parts: parts[0] + repr(parts[1])
+    ),
+    st.text(max_size=8),
+)
+
+
+@given(name=FIXTURE_NAMES)
+@example("pball:0.011")  # the area's Gamma(1 + 2/p) overflows
+@example("pball:5e-324")
+@settings(max_examples=60)
+def test_fixture_names_run_or_end_in_one_error_line(name):
+    code, lines, caught = _invoke(["maxcorr", "--fixture", name, "--grid", "16"])
+    _assert_one_outcome(code, lines, caught)

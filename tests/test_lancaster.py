@@ -543,6 +543,11 @@ class TestModelConfig:
         assert reloaded.marginal_y == model.marginal_y
 
 
+def _uniform_table(knots: int) -> MarginalSpec:
+    """The uniform density on [0, 1] as a table of ``knots`` equispaced knots."""
+    return MarginalSpec("table", (0.0, 1.0), (tuple(np.linspace(0.0, 1.0, knots)), (1.0,) * knots))
+
+
 class TestBuildModelValidation:
     def test_max_degree_must_cover_the_sequence(self, uniform01):
         with pytest.raises(ValueError, match="max_degree"):
@@ -551,6 +556,45 @@ class TestBuildModelValidation:
     def test_bound_violation_propagates(self, uniform01):
         with pytest.raises(BoundViolationError):
             build_model(uniform01, uniform01, (0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"quad_nodes": 20000}, "'quad_nodes' must be at most 2048"),
+            ({"max_degree": 10**6}, "'max_degree' must be at most 64"),
+            ({"marginal_x": _uniform_table(2000)}, "'marginal_x' makes a 31984-node rule at quad_nodes 128"),
+            ({"marginal_y": _uniform_table(2000)}, "'marginal_y' makes a 31984-node rule at quad_nodes 128"),
+            # a table's rule has 16 nodes per segment at any quad_nodes, so only the count can stop these
+            ({"marginal_x": _uniform_table(3), "quad_nodes": 0}, "'quad_nodes' must be an integer >= 1"),
+            ({"marginal_x": _uniform_table(3), "quad_nodes": -5}, "'quad_nodes' must be an integer >= 1"),
+        ],
+        ids=["quad_nodes", "max_degree", "table-x", "table-y", "table-quad_nodes-0", "table-quad_nodes-negative"],
+    )
+    def test_inputs_out_of_range_are_rejected_before_any_build(self, uniform01, monkeypatch, kwargs, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built from out-of-range inputs")
+
+        monkeypatch.setattr(lancaster, "build_system", no_build)
+        args = {"marginal_x": uniform01, "marginal_y": uniform01, "rho": (0.05, 0.15), **kwargs}
+        with pytest.raises(ValueError, match=message):
+            build_model(**args)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"quad_nodes": 2048}, {"max_degree": 64}, {"marginal_x": _uniform_table(129)}],
+        ids=["quad_nodes", "max_degree", "table-of-2048-nodes"],
+    )
+    def test_inputs_at_their_limit_reach_the_build(self, uniform01, monkeypatch, kwargs):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(lancaster, "build_system", reached)
+        args = {"marginal_x": uniform01, "marginal_y": uniform01, "rho": (0.05, 0.15), **kwargs}
+        with pytest.raises(Reached):
+            build_model(**args)
 
 
 @given(

@@ -236,6 +236,18 @@ def test_a_scalar_only_callable_raises_its_own_error_after_one_call(route, ce_mo
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("route", sorted(OPEN_GRID_ROUTES))
+def test_stacked_components_are_read_only_by_conditional_expectation(route, ce_model):
+    compute = OPEN_GRID_ROUTES[route]
+    stacked = (lambda x: np.stack([x, x * x]), lambda x, y: np.stack([x + y, x * y]))
+    if route != "conditional_expectation":
+        with pytest.raises(ValueError, match=r"stacked-evaluation: .* shape \(2, "):
+            compute(*stacked, ce_model)
+        return
+    apart = [compute(lambda x: x, None, ce_model), compute(lambda x: x * x, None, ce_model)]
+    np.testing.assert_allclose(compute(*stacked, ce_model), np.stack(apart), rtol=1e-14, atol=1e-15)
+
+
 class TestIntegrate2d:
     def test_constant_on_unit_square(self):
         rx = gauss_legendre_rule(8, 0.0, 1.0)

@@ -54,6 +54,15 @@ class TestConditionalExpectation:
             slow = quadrature_conditional_mean(ce_model, h, y)
             assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_sums_over_the_rule_the_model_was_verified_with(self, ce_model, monkeypatch):
+        expected = conditional_expectation(ce_model, lambda x: x**3, 0.3)
+
+        def no_rule(*args, **kwargs):
+            raise AssertionError("a rule was rebuilt for a model that carries its own")
+
+        monkeypatch.setattr(MarginalSpec, "quadrature_rule", no_rule)
+        assert conditional_expectation(ce_model, lambda x: x**3, 0.3) == expected
+
     def test_rejects_unsupported_conditioning_point(self, ce_model, beta23):
         with pytest.raises(ValueError, match="unsupported-conditioning-point"):
             conditional_expectation(ce_model, lambda x: x, 1.7)
