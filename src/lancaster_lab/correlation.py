@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lancaster import LancasterModel
-from .quadrature import _field_on, _is_count, gauss_legendre_rule
+from .quadrature import _is_count, _values_on, gauss_legendre_rule
 
 __all__ = [
     "DiscretizedJoint",
@@ -147,7 +147,7 @@ def discretize_joint(
     (ax, bx), (ay, by) = support
     rule_x = gauss_legendre_rule(nodes_per_axis, float(ax), float(bx))
     rule_y = gauss_legendre_rule(nodes_per_axis, float(ay), float(by))
-    values = _field_on(density, rule_x.nodes, rule_y.nodes)
+    values = _values_on(density, rule_x.nodes, rule_y.nodes)
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError("density must be finite and nonnegative on the grid")
     # P is one new array, scaled in place from here on; dropping the density

@@ -21,8 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .orthopoly import _DEFAULT_QUAD_NODES, MarginalSpec, OrthonormalSystem, build_system
-from .quadrature import QuadratureRule, _is_count, _values_on, integrate_2d
+from .orthopoly import _DEFAULT_QUAD_NODES, MARGINAL_PARAMS, MarginalSpec, OrthonormalSystem, build_system
+from .quadrature import QuadratureRule, _is_count, _real, _reals, _values_on, integrate_2d
 
 __all__ = [
     "BoundViolationError",
@@ -55,11 +55,6 @@ _DEFAULT_MAX_DEGREE = 8
 # degree (O(N^4) in all).
 _MAX_QUAD_NODES = 2048
 _MAX_DEGREE_LIMIT = 64
-
-# The beta density is not piecewise linear: the sampler inverts its
-# piecewise-linear interpolant on this many equispaced knots. Uniform and
-# table marginals are inverted on their own knots, exactly.
-_CDF_TABLE_KNOTS = 4096
 
 # Proposals per rejection round, at most. Each round takes its x, y and
 # acceptance uniforms from three consecutive batch-long stretches of the seed's
@@ -123,7 +118,7 @@ def validate_coefficients(rho: Sequence[float], c, d) -> CoefficientSequence:
     sides (pass ``system.sup_norms[1:]``). Raises BoundViolationError when
     the mass exceeds 1, in which case the joint density may go negative.
     """
-    rho = tuple(float(r) for r in rho)
+    rho = _reals(rho, "rho")
     cs, ds = _sup_norm_slices(c, d, len(rho))
     # a term or a sum past the float range is an infinite bound, which fails below
     with np.errstate(over="ignore"):
@@ -150,7 +145,7 @@ def build_sequence_linear(c, d, count: int, lam: float) -> CoefficientSequence:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
     count = int(count)
     cs, ds = _sup_norm_slices(c, d, count)
-    lam = float(lam)
+    lam = _real(lam, "lambda")
     lam_max = 1.0 / float(np.sum(np.arange(1, count + 1) * cs * ds))
     if not (lam > 0.0):
         raise ValueError("lambda must be strictly positive")
@@ -228,7 +223,7 @@ def build_model(
     BoundViolationError. The model is verified on a 256 x 256 grid
     (nonnegative density) and by tensor quadrature (total mass 1 within 1e-9).
     """
-    rho = tuple(float(r) for r in rho)
+    rho = _reals(rho, "rho")
     coefficients = functools.partial(validate_coefficients, rho)
     return _build_model(marginal_x, marginal_y, len(rho), coefficients, max_degree, quad_nodes)
 
@@ -288,17 +283,6 @@ class SampleStats(NamedTuple):
     acceptance_rate: float
 
 
-def _density_knots(marginal: MarginalSpec) -> np.ndarray:
-    """Knots on which the marginal's density is, or is taken to be, piecewise linear."""
-    lo, hi = marginal.support
-    if marginal.kind == "beta":
-        return np.linspace(lo, hi, _CDF_TABLE_KNOTS)
-    if marginal.kind == "table":
-        # its end knots may lie up to 1e-12 outside the support
-        return np.clip(marginal.params[0], lo, hi)
-    return np.array([lo, hi])
-
-
 class _InverseCdfTable:
     """Exact inverse CDF of the piecewise-linear density through the marginal's knots.
 
@@ -306,15 +290,16 @@ class _InverseCdfTable:
     F_k + f_k t + s_k t^2 / 2 at x_k + t, with f_k the density at x_k and s_k
     the segment's slope (inversion of piecewise-linear densities; Devroye,
     Non-Uniform Random Variate Generation, 1986, ch. II.2). Uniform and table
-    marginals are inverted exactly; beta through its interpolant on
-    ``_CDF_TABLE_KNOTS`` knots. Every draw stays inside its segment.
+    marginals are inverted exactly; beta through its interpolant on the
+    equispaced knots of ``MarginalSpec.cdf_knots``. Every draw stays inside
+    its segment.
 
     A u in [0, 1) lies in segment k when cdf[k] <= u < cdf[k + 1]. A table with
     one segment (every uniform marginal) needs no search and no gathers.
     """
 
     def __init__(self, marginal: MarginalSpec):
-        self.x = _density_knots(marginal)
+        self.x = marginal.cdf_knots()
         pdf = marginal.density(self.x)
         width = np.diff(self.x)
         segments = 0.5 * (pdf[1:] + pdf[:-1]) * width
@@ -410,16 +395,12 @@ def sample_joint(
 # -- JSON-facing model configuration --------------------------------------
 
 
-# The config names of each marginal kind's params, in MarginalSpec's order.
-_MARGINAL_PARAMS = {"uniform": (), "beta": ("a", "b"), "table": ("x", "density")}
-
-
 def _marginal_to_config(marginal: MarginalSpec) -> dict:
     cfg: dict = {"kind": marginal.kind, "support": list(marginal.support)}
     if marginal.params:
         cfg["params"] = {
             name: list(value) if isinstance(value, tuple) else value
-            for name, value in zip(_MARGINAL_PARAMS[marginal.kind], marginal.params)
+            for name, value in zip(MARGINAL_PARAMS[marginal.kind], marginal.params)
         }
     return cfg
 
@@ -428,18 +409,15 @@ def _marginal_from_config(cfg: dict) -> MarginalSpec:
     if not isinstance(cfg, dict) or "kind" not in cfg or "support" not in cfg:
         raise ValueError("marginal config must be an object with 'kind' and 'support'")
     kind = cfg["kind"]
-    support = _config_number(cfg["support"], "'support'", array=True)
-    names = _MARGINAL_PARAMS.get(kind) if isinstance(kind, str) else None
+    names = MARGINAL_PARAMS.get(kind) if isinstance(kind, str) else None
     if names is None:
         raise ValueError(f"unknown marginal kind {kind!r}")
-    params = cfg.get("params") or {}
-    try:
-        values = tuple(
-            _config_number(params[name], f"{kind} param {name!r}", array=kind == "table") for name in names
+    params = cfg.get("params", {})
+    if not isinstance(params, dict) or set(params) != set(names):
+        raise ValueError(
+            f"{kind} marginal config needs 'params' with exactly the keys {list(names)}, got {params!r}"
         )
-    except KeyError as exc:
-        raise ValueError(f"{kind} marginal config needs params {list(names)}") from exc
-    return MarginalSpec(kind, support, values)
+    return MarginalSpec(kind, cfg["support"], tuple(params[name] for name in names))
 
 
 def model_to_config(model: LancasterModel) -> dict:
@@ -458,21 +436,6 @@ def model_to_config(model: LancasterModel) -> dict:
     return cfg
 
 
-def _config_number(value, key: str, array: bool = False):
-    """The JSON number ``value`` as a float; with ``array``, a JSON array of them as a tuple.
-
-    A bool, a string, an object or null is malformed, alone or in the array.
-    """
-    def is_number(v) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    valid = isinstance(value, list) and all(map(is_number, value)) if array else is_number(value)
-    if not valid:
-        kind = "an array of numbers" if array else "a number"
-        raise ValueError(f"malformed model config: {key} must be {kind}, got {value!r}")
-    return tuple(float(v) for v in value) if array else float(value)
-
-
 def model_from_config(cfg: dict) -> LancasterModel:
     """Build a model from its JSON configuration.
 
@@ -481,51 +444,50 @@ def model_from_config(cfg: dict) -> LancasterModel:
     must be present; ``max_degree`` defaults to max(8, coefficient count),
     and without it the coefficient count must be at most 64. Values of the
     wrong JSON type raise ValueError: a number is an integer or a float
-    (never a bool or a string), an array of numbers is an array, and ``N``
-    must be an integer. The model is built as ``build_model`` builds it,
-    under the same limits on ``max_degree``, ``quad_nodes`` and the rules.
+    (never a bool or a string), an array of numbers is an array, ``N``
+    must be an integer, and a marginal's ``params`` is an object with
+    exactly its kind's keys (``orthopoly.MARGINAL_PARAMS``). The model is
+    built as ``build_model`` builds it, under the same limits on
+    ``max_degree``, ``quad_nodes`` and the rules.
     """
     if not isinstance(cfg, dict):
         raise ValueError("model config must be a JSON object")
     for key in ("marginal_x", "marginal_y"):
         if key not in cfg:
             raise ValueError(f"model config is missing {key!r}")
-    try:
-        marginal_x = _marginal_from_config(cfg["marginal_x"])
-        marginal_y = _marginal_from_config(cfg["marginal_y"])
-        has_rho = "rho" in cfg
-        if has_rho == ("rho_builder" in cfg):
-            raise ValueError("model config needs exactly one of 'rho' or 'rho_builder'")
-        if has_rho:
-            rho = _config_number(cfg["rho"], "'rho'", array=True)
-            if not rho:
-                raise ValueError("'rho' must be a non-empty array")
-            count = len(rho)
+    marginal_x = _marginal_from_config(cfg["marginal_x"])
+    marginal_y = _marginal_from_config(cfg["marginal_y"])
+    has_rho = "rho" in cfg
+    if has_rho == ("rho_builder" in cfg):
+        raise ValueError("model config needs exactly one of 'rho' or 'rho_builder'")
+    if has_rho:
+        rho = cfg["rho"]
+        if not isinstance(rho, list) or not rho:
+            raise ValueError(f"malformed model config: 'rho' must be a non-empty array, got {rho!r}")
+        count = len(rho)
+    else:
+        builder = cfg["rho_builder"]
+        if not isinstance(builder, dict) or "type" not in builder or "N" not in builder:
+            raise ValueError("'rho_builder' must be an object with 'type' and 'N'")
+        count = builder["N"]
+        if not _is_count(count):
+            raise ValueError(f"malformed model config: 'N' must be an integer, got {count!r}")
+        if builder["type"] == "quadratic":
+            coefficients = functools.partial(build_sequence_quadratic, count=count)
+        elif builder["type"] == "linear":
+            if "lambda" not in builder:
+                raise ValueError("linear rho_builder needs a 'lambda' value")
+            lam = _real(builder["lambda"], "rho_builder 'lambda'")
+            coefficients = functools.partial(build_sequence_linear, count=count, lam=lam)
         else:
-            builder = cfg["rho_builder"]
-            if not isinstance(builder, dict) or "type" not in builder or "N" not in builder:
-                raise ValueError("'rho_builder' must be an object with 'type' and 'N'")
-            count = builder["N"]
-            if not _is_count(count):
-                raise ValueError(f"malformed model config: 'N' must be an integer, got {count!r}")
-            if builder["type"] == "quadratic":
-                coefficients = functools.partial(build_sequence_quadratic, count=count)
-            elif builder["type"] == "linear":
-                if "lambda" not in builder:
-                    raise ValueError("linear rho_builder needs a 'lambda' value")
-                lam = _config_number(builder["lambda"], "rho_builder 'lambda'")
-                coefficients = functools.partial(build_sequence_linear, count=count, lam=lam)
-            else:
-                raise ValueError(f"unknown rho_builder type {builder['type']!r}")
-        if "max_degree" in cfg:
-            max_degree = cfg["max_degree"]
-        elif count > _MAX_DEGREE_LIMIT:
-            source = "'rho' length" if has_rho else "rho_builder 'N'"
-            raise ValueError(f"model config {source} must be at most {_MAX_DEGREE_LIMIT}, got {count}")
-        else:
-            max_degree = max(_DEFAULT_MAX_DEGREE, count)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed model config: {exc}") from exc
+            raise ValueError(f"unknown rho_builder type {builder['type']!r}")
+    if "max_degree" in cfg:
+        max_degree = cfg["max_degree"]
+    elif count > _MAX_DEGREE_LIMIT:
+        source = "'rho' length" if has_rho else "rho_builder 'N'"
+        raise ValueError(f"model config {source} must be at most {_MAX_DEGREE_LIMIT}, got {count}")
+    else:
+        max_degree = max(_DEFAULT_MAX_DEGREE, count)
 
     quad_nodes = cfg.get("quad_nodes", _DEFAULT_QUAD_NODES)
     if has_rho:

@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import QuadratureRule, _is_count, composite_gauss_legendre, gauss_legendre_rule
+from .quadrature import (
+    QuadratureRule,
+    _is_count,
+    _real,
+    _reals,
+    composite_gauss_legendre,
+    gauss_legendre_rule,
+)
 
 __all__ = [
     "MarginalSpec",
@@ -34,7 +41,8 @@ __all__ = [
     "orthonormality_residual",
 ]
 
-MARGINAL_KINDS = ("uniform", "beta", "table")
+# Each marginal kind with the config names of its params, in MarginalSpec's order.
+MARGINAL_PARAMS = {"uniform": (), "beta": ("a", "b"), "table": ("x", "density")}
 
 # Piecewise-linear tables are renormalized if their integral is off by less
 # than this; a larger deviation is treated as a real mistake, not rounding.
@@ -45,6 +53,10 @@ _DEFAULT_QUAD_NODES = 128
 
 # A table's composite rule puts at least this many nodes on each knot segment.
 _MIN_SEGMENT_NODES = 16
+
+# The beta density is not piecewise linear: the sampler inverts its
+# piecewise-linear interpolant on this many equispaced knots.
+_CDF_TABLE_KNOTS = 4096
 
 
 class DegenerateMarginalError(ValueError):
@@ -74,25 +86,24 @@ class MarginalSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in MARGINAL_KINDS:
-            raise ValueError(f"unknown marginal kind {self.kind!r}; expected one of {MARGINAL_KINDS}")
-        if len(self.support) != 2:
+        names = MARGINAL_PARAMS.get(self.kind) if isinstance(self.kind, str) else None
+        if names is None:
+            raise ValueError(f"unknown marginal kind {self.kind!r}; expected one of {tuple(MARGINAL_PARAMS)}")
+        support = _reals(self.support, "marginal support")
+        if len(support) != 2:
             raise ValueError(f"marginal support must be a pair [alpha, omega], got {self.support!r}")
-        lo, hi = (float(self.support[0]), float(self.support[1]))
+        lo, hi = support
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             raise ValueError(f"support must be a bounded interval with alpha < omega, got {self.support!r}")
         if not math.isfinite(hi - lo):
             raise ValueError(f"support width omega - alpha overflows, got {self.support!r}")
         object.__setattr__(self, "support", (lo, hi))
+        if not isinstance(self.params, (tuple, list)) or len(self.params) != len(names):
+            raise ValueError(f"{self.kind} marginal needs params {names}, got {self.params!r}")
+        object.__setattr__(self, "params", tuple(self.params))
 
-        if self.kind == "uniform":
-            if self.params not in ((), None):
-                raise ValueError("uniform marginal takes no parameters")
-            object.__setattr__(self, "params", ())
-        elif self.kind == "beta":
-            if len(self.params) != 2:
-                raise ValueError("beta marginal needs params (a, b)")
-            a, b = (float(self.params[0]), float(self.params[1]))
+        if self.kind == "beta":
+            a, b = (_real(v, f"beta param {name!r}") for name, v in zip(names, self.params))
             if not (a >= 1.0 and b >= 1.0 and math.isfinite(a) and math.isfinite(b)):
                 raise ValueError("beta parameters must be finite and >= 1 (bounded density)")
             # the density's normalizer needs log Gamma(a + b), the largest of its three terms
@@ -105,10 +116,8 @@ class MarginalSpec:
                     f"beta parameters too large: log Gamma(a + b) overflows at a + b = {a + b!r}"
                 )
             object.__setattr__(self, "params", (a, b))
-        else:
-            knots, values = self.params
-            knots = tuple(float(x) for x in knots)
-            values = tuple(float(v) for v in values)
+        elif self.kind == "table":
+            knots, values = (_reals(v, f"table param {name!r}") for name, v in zip(names, self.params))
             if len(knots) != len(values) or len(knots) < 2:
                 raise ValueError("table marginal needs matching knot and value sequences (length >= 2)")
             if any(k2 <= k1 for k1, k2 in zip(knots, knots[1:])):
@@ -125,8 +134,6 @@ class MarginalSpec:
                     f"table density integrates to {total!r}; deviations of"
                     f" {_TABLE_RENORM_TOL} or more from 1 are rejected"
                 )
-            if total <= 0.0:
-                raise ValueError("table density has zero mass")
             values = tuple(v / total for v in values)
             object.__setattr__(self, "params", (knots, values))
 
@@ -148,6 +155,20 @@ class MarginalSpec:
             knots, values = self.params
             out = np.where(inside, np.interp(arr, knots, values), 0.0)
         return out if arr.ndim else float(out)
+
+    def cdf_knots(self) -> np.ndarray:
+        """Knots on which the density is, or is taken to be, piecewise linear.
+
+        Uniform and table densities are piecewise linear on their own knots;
+        beta is taken to be on ``_CDF_TABLE_KNOTS`` equispaced knots.
+        """
+        lo, hi = self.support
+        if self.kind == "beta":
+            return np.linspace(lo, hi, _CDF_TABLE_KNOTS)
+        if self.kind == "table":
+            # its end knots may lie up to 1e-12 outside the support
+            return np.clip(self.params[0], lo, hi)
+        return np.array([lo, hi])
 
     def rule_size(self, n_nodes: int) -> int:
         """The node count of ``quadrature_rule(n_nodes)``, without building the rule.

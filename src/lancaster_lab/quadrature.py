@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from collections.abc import Iterable
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,6 +105,27 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float when it is a Python or numpy integer or float.
+
+    A bool, a string or any other type, and an integer too large for a float,
+    raise ValueError naming ``name``.
+    """
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
+def _reals(values, name: str) -> tuple[float, ...]:
+    """A sequence of real numbers as a tuple of floats, each read by ``_real``."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}")
+    return tuple(_real(value, name) for value in values)
+
+
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [a, b]; exact through degree 2n - 1.
 
@@ -143,27 +165,20 @@ def _values_on(f: Callable, *axes: np.ndarray) -> np.ndarray:
     """f on the ``ij`` tensor grid of one or two node axes, from one call.
 
     f receives the open grid: with two axes of n and m nodes, arrays of shapes
-    (n, 1) and (1, m). Its result is broadcast to the grid, (n, m), or to
-    (k, n, m) when it has k components, so f may ignore an axis or return a
-    scalar; a broadcast result is copied out, so its sums match those of a
-    full one bit for bit. A callable that rejects arrays raises its own error.
+    (n, 1) and (1, m). Its result is broadcast to the grid, (n, m), so f may
+    ignore an axis or return a scalar; a broadcast result is copied out, so its
+    sums match those of a full one bit for bit. A result with more axes than
+    the grid (stacked components) raises ValueError; a callable that rejects
+    arrays raises its own error.
     """
     shape = tuple(axis.size for axis in axes)
     values = np.asarray(f(*np.meshgrid(*axes, indexing="ij", sparse=True)), dtype=float)
-    grid = values.shape[: max(values.ndim - len(shape), 0)] + shape
-    return values if values.shape == grid else np.broadcast_to(values, grid).copy()
-
-
-def _field_on(f: Callable, *axes: np.ndarray) -> np.ndarray:
-    """``_values_on`` for a callable with one value per grid point; stacked values are an error."""
-    values = _values_on(f, *axes)
-    if values.ndim > len(axes):
-        grid = tuple(axis.size for axis in axes)
+    if values.ndim > len(shape):
         raise ValueError(
             f"stacked-evaluation: the callable's values have shape {values.shape} on a grid of"
-            f" shape {grid}; one value per grid point is expected"
+            f" shape {shape}; one value per grid point is expected"
         )
-    return values
+    return values if values.shape == shape else np.broadcast_to(values, shape).copy()
 
 
 def integrate(f: Callable, rule: QuadratureRule) -> float:
@@ -172,7 +187,7 @@ def integrate(f: Callable, rule: QuadratureRule) -> float:
     f is called once, on the array of nodes; a scalar result is a constant,
     and stacked components raise ValueError.
     """
-    values = _field_on(f, rule.nodes)
+    values = _values_on(f, rule.nodes)
     if not np.all(np.isfinite(values)):
         bad = rule.nodes[~np.isfinite(values)][0]
         raise ValueError(f"non-finite-evaluation: integrand is not finite at node {bad!r}")
@@ -185,7 +200,7 @@ def integrate_2d(f: Callable, rule_x: QuadratureRule, rule_y: QuadratureRule) ->
     f is called once, on the open grid of the two node axes (see ``_values_on``),
     and may ignore an axis; stacked components raise ValueError.
     """
-    values = _field_on(f, rule_x.nodes, rule_y.nodes)
+    values = _values_on(f, rule_x.nodes, rule_y.nodes)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite-evaluation: integrand is not finite on the grid")
     return float(rule_x.weights @ values @ rule_y.weights)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .correlation import DEFAULT_MODEL_GRID, CorrelationReport, correlation_report, discretize_model
 from .lancaster import LancasterModel, transpose_model
-from .quadrature import _is_count, _values_on
+from .quadrature import _is_count
 
 __all__ = [
     "RegressionCheckResult",
@@ -107,7 +107,8 @@ def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np
         )
     nodes = model.rule_x.nodes
     masses = model.rule_x.weights * model.marginal_x.density(nodes)
-    h_vals = _values_on(h, nodes)
+    h_vals = np.asarray(h(nodes), dtype=float)
+    h_vals = np.broadcast_to(h_vals, h_vals.shape[:-1] + nodes.shape)
     if not np.all(np.isfinite(h_vals)):
         raise ValueError("non-finite-evaluation: h is not finite on the support")
 

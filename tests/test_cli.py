@@ -440,6 +440,52 @@ class TestErrorHandling:
         assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
 
     @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (
+                lambda cfg: cfg["marginal_x"].update(params={"a": 2, "b": 3}),
+                "uniform marginal config needs 'params' with exactly the keys [], got {'a': 2, 'b': 3}",
+            ),
+            (
+                lambda cfg: cfg.update(marginal_x={**BETA_MARGINAL, "params": {"a": 2, "b": 3, "c": 1}}),
+                "beta marginal config needs 'params' with exactly the keys ['a', 'b'], got {",
+            ),
+            (
+                lambda cfg: cfg.update(marginal_x={**BETA_MARGINAL, "params": [2, 3]}),
+                "beta marginal config needs 'params' with exactly the keys ['a', 'b'], got [2, 3]",
+            ),
+            (lambda cfg: cfg.update(rho=[float("nan")]), "coefficients must be finite"),
+            (
+                lambda cfg: cfg.update(
+                    marginal_x={
+                        "kind": "table",
+                        "support": [0, 2],
+                        "params": {"x": [0, 1.5, 1, 2], "density": [0, 1, 1, 0]},
+                    }
+                ),
+                "table knots must be strictly increasing",
+            ),
+        ],
+        ids=["uniform-with-params", "beta-with-extra-param", "params-as-array", "rho-nan", "knots-decrease"],
+    )
+    def test_invalid_configs_end_in_one_config_error_naming_the_fault(self, tmp_path, capsys, mutate, message):
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        mutate(cfg)
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--model", str(path)]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: config-error: {message}"), errors
+
+    def test_a_geometric_fixture_is_not_a_model_to_report_on(self, capsys):
+        assert main(["report", "--fixture", "disc"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [
+            "error: config-error: fixture 'disc' is not an expansion model;"
+            " this command needs --model or an fgm fixture"
+        ]
+
+    @pytest.mark.parametrize(
         "key,value",
         [("N", 2.9), ("N", True), ("max_degree", 8.7), ("quad_nodes", 130.5)],
     )

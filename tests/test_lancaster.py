@@ -52,6 +52,11 @@ class TestValidateCoefficients:
         with pytest.raises(ValueError):
             validate_coefficients((), UNIFORM_SUPS, UNIFORM_SUPS)
 
+    @pytest.mark.parametrize("rho", [("0.05",), (0.05, False), (None,)])
+    def test_coefficients_of_another_type_are_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho must be a real number"):
+            validate_coefficients(rho, UNIFORM_SUPS, UNIFORM_SUPS)
+
 
 class TestSequenceBuilders:
     def test_quadratic_first_coefficient(self):
@@ -81,6 +86,11 @@ class TestSequenceBuilders:
     def test_linear_rejects_zero_lambda(self):
         with pytest.raises(ValueError, match="positive"):
             build_sequence_linear(UNIFORM_SUPS, UNIFORM_SUPS, 2, 0.0)
+
+    @pytest.mark.parametrize("lam", ["0.01", True, 10**400])
+    def test_linear_rejects_a_lambda_of_another_type(self, lam):
+        with pytest.raises(ValueError, match="lambda (must be a real number|is too large)"):
+            build_sequence_linear(UNIFORM_SUPS, UNIFORM_SUPS, 2, lam)
 
     def test_linear_rejects_oversized_lambda_and_quotes_maximum(self):
         with pytest.raises(ValueError, match="lambda-too-large") as excinfo:
@@ -578,6 +588,31 @@ class TestBuildModelValidation:
         args = {"marginal_x": uniform01, "marginal_y": uniform01, "rho": (0.05, 0.15), **kwargs}
         with pytest.raises(ValueError, match=message):
             build_model(**args)
+
+    @pytest.mark.parametrize(
+        "rho,message",
+        [
+            (("0.05", False), "rho must be a real number, got '0.05'"),
+            ((0.05, False), "rho must be a real number, got False"),
+            ((10**400,), "rho is too large for a float"),
+            (0.05, "rho must be a sequence of real numbers, got 0.05"),
+            ("0.05", "rho must be a sequence of real numbers, got '0.05'"),
+        ],
+    )
+    def test_coefficients_of_another_type_are_rejected_before_any_build(
+        self, uniform01, monkeypatch, rho, message
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built from a malformed coefficient")
+
+        monkeypatch.setattr(lancaster, "build_system", no_build)
+        with pytest.raises(ValueError, match=message):
+            build_model(uniform01, uniform01, rho)
+
+    def test_numpy_coefficients_are_read_as_floats(self, uniform01):
+        model = build_model(uniform01, uniform01, (np.float32(0.05), np.int64(0)))
+        assert model.coeffs.rho == (float(np.float32(0.05)), 0.0)
+        assert all(type(r) is float for r in model.coeffs.rho)
 
     @pytest.mark.parametrize(
         "kwargs",

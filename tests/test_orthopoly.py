@@ -43,6 +43,44 @@ class TestMarginalSpec:
         with pytest.raises(ValueError, match="support"):
             MarginalSpec("uniform", (-1e308, 1e308))
 
+    @pytest.mark.parametrize(
+        "kind,support,params,message",
+        [
+            ("beta", (0, 1), ("2", True), "beta param 'a' must be a real number, got '2'"),
+            ("beta", (0, 1), (2, True), "beta param 'b' must be a real number, got True"),
+            ("table", (0, 2), ("012", (0, True, 0)), "table param 'x' must be a sequence of real numbers"),
+            ("table", (0, 2), ((0, 1, 2), (0, True, 0)), "table param 'density' must be a real number"),
+            ("table", (0, 2), ((0, 1, 2), 5), "table param 'density' must be a sequence of real numbers"),
+            ("uniform", "01", (), "marginal support must be a sequence of real numbers"),
+            ("uniform", (0, None), (), "marginal support must be a real number, got None"),
+            ("uniform", (0, 10**400), (), "marginal support is too large for a float"),
+        ],
+        ids=["beta-a", "beta-b", "table-x", "table-density", "table-density-number", "support-string",
+             "support-none", "support-huge-int"],
+    )
+    def test_numbers_of_another_type_are_rejected_naming_the_field(self, kind, support, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MarginalSpec(kind, support, params)
+
+    def test_numpy_numbers_are_read_as_floats(self):
+        m = MarginalSpec("beta", (np.int64(0), np.float32(1.0)), (np.int32(2), np.float64(3.0)))
+        assert m.support == (0.0, 1.0) and m.params == (2.0, 3.0)
+        assert all(type(v) is float for v in m.support + m.params)
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("uniform", (1.0,)),
+            ("uniform", None),
+            ("beta", (2.0,)),
+            ("beta", (2.0, 3.0, 1.0)),
+            ("table", ((0.0, 1.0),)),
+        ],
+    )
+    def test_param_count_follows_the_kind(self, kind, params):
+        with pytest.raises(ValueError, match=f"{kind} marginal needs params"):
+            MarginalSpec(kind, (0.0, 1.0), params)
+
     def test_beta_parameters_below_one_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             MarginalSpec("beta", (0.0, 1.0), (0.5, 2.0))
