@@ -162,10 +162,12 @@ def discretize_joint(
     # a marginal density below the floor is a row (column) mass below floor * mass * weight
     keep_x = np.sum(masses, axis=1) >= _MARGINAL_FLOOR * mass * rule_x.weights
     keep_y = np.sum(masses, axis=0) >= _MARGINAL_FLOOR * mass * rule_y.weights
-    masses = masses[np.ix_(keep_x, keep_y)]
-    mass = float(np.sum(masses))
-    if mass < _ZERO_MASS:
-        raise ValueError(f"zero-mass: total mass after node dropping is {mass!r}")
+    # when no node is dropped, the masses and their sum stand as they are
+    if not (np.all(keep_x) and np.all(keep_y)):
+        masses = masses[np.ix_(keep_x, keep_y)]
+        mass = float(np.sum(masses))
+        if mass < _ZERO_MASS:
+            raise ValueError(f"zero-mass: total mass after node dropping is {mass!r}")
     masses /= mass
     return DiscretizedJoint(rule_x.nodes[keep_x], rule_y.nodes[keep_y], masses)
 

@@ -174,24 +174,52 @@ class LancasterModel:
     quad_nodes: int
 
     def series_factor(self, x, y):
-        """1 + sum_n rho_n phi_n(x) psi_n(y), broadcasting over array inputs."""
+        """1 + sum_n rho_n phi_n(x) psi_n(y), broadcasting over array inputs.
+
+        On an open tensor grid (x of shape (n, 1), y of shape (1, m)) the sum
+        is one (n x N)(N x m) matrix product, which adds the N terms in
+        another order than the term-by-term loop used for every other shape.
+        """
         n = len(self.coeffs)
-        px = self.system_x.evaluate_all(np.asarray(x, dtype=float), upto=n)
-        py = self.system_y.evaluate_all(np.asarray(y, dtype=float), upto=n)
+        ax = np.asarray(x, dtype=float)
+        ay = np.asarray(y, dtype=float)
+        if _is_open_grid(ax, ay):
+            px = self.system_x.evaluate_all(ax[:, 0], upto=n)
+            py = self.system_y.evaluate_all(ay[0], upto=n)
+            factor = (px[1:].T * self.coeffs.rho) @ py[1:]
+            factor += 1.0
+            return factor
+        px = self.system_x.evaluate_all(ax, upto=n)
+        py = self.system_y.evaluate_all(ay, upto=n)
         factor = 1.0
         for k, r in enumerate(self.coeffs.rho, start=1):
             factor = factor + r * px[k] * py[k]
         return factor
 
     def density(self, x, y):
-        """Joint density; zero outside the support rectangle."""
+        """Joint density; zero outside the support rectangle.
+
+        On an open tensor grid the series factor's (n, m) array is scaled by
+        f1 and f2 and clamped in place.
+        """
         ax = np.asarray(x, dtype=float)
         ay = np.asarray(y, dtype=float)
         fx = self.marginal_x.density(ax)
         fy = self.marginal_y.density(ay)
+        if _is_open_grid(ax, ay):
+            value = self.series_factor(ax, ay)
+            value *= fx
+            value *= fy
+            np.copyto(value, 0.0, where=(value < 0.0) & (value > -_NEGATIVE_CLAMP))
+            return value
         value = fx * fy * self.series_factor(ax, ay)
         value = np.where((value < 0.0) & (value > -_NEGATIVE_CLAMP), 0.0, value)
         return value if (ax.ndim or ay.ndim) else float(value)
+
+
+def _is_open_grid(x: np.ndarray, y: np.ndarray) -> bool:
+    """True for the open ``ij`` grid of two node axes: x of shape (n, 1) and y of shape (1, m)."""
+    return x.ndim == 2 and y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1
 
 
 def transpose_model(model: LancasterModel) -> LancasterModel:

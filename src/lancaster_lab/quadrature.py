@@ -120,8 +120,12 @@ def _real(value, name: str) -> float:
 
 
 def _reals(values, name: str) -> tuple[float, ...]:
-    """A sequence of real numbers as a tuple of floats, each read by ``_real``."""
-    if isinstance(values, str) or not isinstance(values, Iterable):
+    """A sequence of real numbers as a tuple of floats, each read by ``_real``.
+
+    A string, a non-iterable and a 0-d array raise ValueError naming ``name``.
+    """
+    zero_dim = isinstance(values, np.ndarray) and values.ndim == 0
+    if isinstance(values, str) or not isinstance(values, Iterable) or zero_dim:
         raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}")
     return tuple(_real(value, name) for value in values)
 

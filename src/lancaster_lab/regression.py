@@ -133,6 +133,7 @@ class _Conditioning(NamedTuple):
     Rows n - 1 of ``eigen`` and ``powers`` hold E(phi_n(X) | Y) and
     E(X^n | Y) on the conditioning grid for n = 1 .. top; ``psi`` holds
     psi_0 .. psi_top on the grid and ``monomials`` their monomial coefficients.
+    ``fits`` keeps each degree's polynomial check once it is made.
     """
 
     model: LancasterModel
@@ -141,6 +142,7 @@ class _Conditioning(NamedTuple):
     monomials: np.ndarray
     eigen: np.ndarray
     powers: np.ndarray
+    fits: dict[int, RegressionCheckResult]
 
 
 def _condition(model: LancasterModel, direction: str) -> _Conditioning:
@@ -160,6 +162,7 @@ def _condition(model: LancasterModel, direction: str) -> _Conditioning:
         monomials=model.system_y.monomial_coefficients(top),
         eigen=moments[:top],
         powers=moments[top:],
+        fits={},
     )
 
 
@@ -169,7 +172,9 @@ def _conditioning_passes(model: LancasterModel) -> tuple[_Conditioning, _Conditi
 
     Every degree's eigen and polynomial checks read their rows from these, so
     a report conditions once per direction, with one ``conditional_expectation``
-    call each, up to top = min(max_degree_x, max_degree_y). Models are
+    call each, up to top = min(max_degree_x, max_degree_y), and fits each
+    degree's polynomial once (``check_linear_regression`` reads the degree-1
+    fits that ``check_polynomial_regression`` keeps). Models are
     immutable and hash by identity, so one entry holds the passes of the
     model a report is checking.
     """
@@ -214,6 +219,12 @@ def _checked_lstsq(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _poly_check_one(passes: _Conditioning, n: int) -> RegressionCheckResult:
+    if n not in passes.fits:
+        passes.fits[n] = _fit_power(passes, n)
+    return passes.fits[n]
+
+
+def _fit_power(passes: _Conditioning, n: int) -> RegressionCheckResult:
     model = passes.model
     moments = passes.powers[n - 1]
     # fit in the orthonormal basis (monomial normal equations degrade fast),

@@ -19,8 +19,9 @@ from lancaster_lab.correlation import (
     pearson,
     singular_spectrum,
 )
-from lancaster_lab.fixtures import BENCH_FIXTURES, resolve_fixture
+from lancaster_lab.fixtures import BENCH_FIXTURES, _pball_density, resolve_fixture
 from lancaster_lab.quadrature import gauss_legendre_rule
+from reference_routes import discretize_by_index_grid
 
 UNIT_BOX = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -92,6 +93,21 @@ class TestDiscretizeJoint:
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             discretize_joint(lambda x, y: x * y, ((0.0, 1.0), (-1.0, 1.0)), 32)
+
+    @pytest.mark.parametrize(
+        "density, drops",
+        [(_pball_density(1.0), True), (disc_density, False)],
+        ids=["pball:1", "disc"],
+    )
+    def test_masses_match_the_index_grid_reference_bitwise(self, density, drops):
+        joint = discretize_joint(density, UNIT_BOX, 400)
+        x_nodes, y_nodes, masses = discretize_by_index_grid(density, UNIT_BOX, 400)
+        assert (joint.masses.size < 400 * 400) == drops
+        assert joint.x_nodes.tobytes() == x_nodes.tobytes()
+        assert joint.y_nodes.tobytes() == y_nodes.tobytes()
+        assert joint.masses.tobytes() == masses.tobytes()
+        # the kernel SVD reads the masses in memory order, so their layout is pinned too
+        assert joint.masses.flags.c_contiguous
 
 
 class TestDiscretizedJointChecks:

@@ -25,7 +25,12 @@ from lancaster_lab.lancaster import (
 )
 from lancaster_lab.orthopoly import MarginalSpec, build_system
 from lancaster_lab.quadrature import _values_on, integrate_2d
-from reference_routes import conditional_density_x_given_y, marginal_residual
+from reference_routes import (
+    conditional_density_x_given_y,
+    density_pointwise,
+    marginal_residual,
+    series_factor_pointwise,
+)
 
 UNIFORM_SUPS = np.sqrt(2.0 * np.arange(1, 9) + 1)  # c_n = sqrt(2n+1) on [0, 1]
 
@@ -597,6 +602,7 @@ class TestBuildModelValidation:
             ((10**400,), "rho is too large for a float"),
             (0.05, "rho must be a sequence of real numbers, got 0.05"),
             ("0.05", "rho must be a sequence of real numbers, got '0.05'"),
+            (np.array(0.05), r"rho must be a sequence of real numbers, got array\(0.05\)"),
         ],
     )
     def test_coefficients_of_another_type_are_rejected_before_any_build(
@@ -659,17 +665,50 @@ def _verify_models_configs(seed: int) -> list[dict]:
     return workloads.model_configs(lancaster_lab, np.random.default_rng(seed))
 
 
+def _density_grids(model):
+    """The nonnegativity grid and the rule grid that model verification evaluates on."""
+    return [
+        (np.linspace(*model.marginal_x.support, 256), np.linspace(*model.marginal_y.support, 256)),
+        (model.rule_x.nodes, model.rule_y.nodes),
+    ]
+
+
 class TestOpenGridDensity:
+    """On an open grid the series is one matrix product; every other shape keeps the term-by-term loop."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("slot", range(4))
-    def test_open_grid_matches_the_full_meshgrid_bitwise(self, slot):
+    def test_open_grid_is_within_the_rounding_bound_of_the_pointwise_sums(self, seed, slot):
+        # Both routes add the same N + 1 terms, each at most f1 f2 |rho_n| c_n d_n, and scale
+        # by f1 and f2: each is within (N + 3) eps f1 f2 (1 + bound) of the exact value
+        # (Higham, Accuracy and Stability, section 3.1), so they are within twice that of each other.
+        model = model_from_config(_verify_models_configs(seed)[slot])
+        eps = np.finfo(float).eps
+        for x, y in _density_grids(model):
+            grid_x, grid_y = np.meshgrid(x, y, indexing="ij")
+            unit = eps * model.marginal_x.density(grid_x) * model.marginal_y.density(grid_y)
+            unit *= 1.0 + model.coeffs.bound_value
+            open_grid = _values_on(model.density, x, y)
+            pointwise = density_pointwise(model, grid_x, grid_y)
+            assert open_grid.shape == pointwise.shape
+            assert np.all(np.abs(open_grid - pointwise) <= 2 * (len(model.coeffs) + 3) * unit)
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_full_meshgrid_density_is_the_pointwise_route_bitwise(self, slot):
         model = model_from_config(_verify_models_configs(1)[slot])
-        grids = [
-            (np.linspace(*model.marginal_x.support, 256), np.linspace(*model.marginal_y.support, 256)),
-            (model.rule_x.nodes, model.rule_y.nodes),
-        ]
-        for x, y in grids:
-            full = model.density(*np.meshgrid(x, y, indexing="ij"))
-            assert _values_on(model.density, x, y).tobytes() == full.tobytes()
+        for x, y in _density_grids(model):
+            grid = np.meshgrid(x, y, indexing="ij")
+            assert model.density(*grid).tobytes() == density_pointwise(model, *grid).tobytes()
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_scattered_series_factor_is_the_pointwise_route_bitwise(self, slot):
+        model = model_from_config(_verify_models_configs(1)[slot])
+        rng = np.random.default_rng(slot)
+        xs = rng.uniform(*model.marginal_x.support, 1000)
+        ys = rng.uniform(*model.marginal_y.support, 1000)
+        for x, y in [(xs, ys), (xs.reshape(10, 100), ys.reshape(10, 100)), (xs[0], ys[0])]:
+            factor = np.asarray(model.series_factor(x, y))
+            assert factor.tobytes() == np.asarray(series_factor_pointwise(model, x, y)).tobytes()
 
 
 class TestQuadNodesRoundTrip:

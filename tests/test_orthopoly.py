@@ -54,9 +54,12 @@ class TestMarginalSpec:
             ("uniform", "01", (), "marginal support must be a sequence of real numbers"),
             ("uniform", (0, None), (), "marginal support must be a real number, got None"),
             ("uniform", (0, 10**400), (), "marginal support is too large for a float"),
+            ("uniform", np.array(1.0), (), "marginal support must be a sequence of real numbers, got array(1.)"),
+            ("table", (0, 2), (np.array(1.0), (0, 1, 2)), "table param 'x' must be a sequence of real numbers"),
+            ("uniform", [0, [1, 2]], (), "marginal support must be a real number, got [1, 2]"),
         ],
         ids=["beta-a", "beta-b", "table-x", "table-density", "table-density-number", "support-string",
-             "support-none", "support-huge-int"],
+             "support-none", "support-huge-int", "support-0d-array", "table-x-0d-array", "support-ragged"],
     )
     def test_numbers_of_another_type_are_rejected_naming_the_field(self, kind, support, params, message):
         with pytest.raises(ValueError, match=re.escape(message)):

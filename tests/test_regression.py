@@ -278,6 +278,27 @@ class TestOneConditioningPassPerDirection:
         assert calls[1].marginal_x is deep_model.marginal_y
         assert len(report.degree_checks) == 12
 
+    def test_a_report_fits_each_degree_once_per_direction(self, deep_model, monkeypatch):
+        designs = []
+
+        def spy(design, targets):
+            designs.append(design.shape)
+            return checked_lstsq(design, targets)
+
+        checked_lstsq = regression._checked_lstsq
+        regression._conditioning_passes.cache_clear()
+        monkeypatch.setattr(regression, "_checked_lstsq", spy)
+        report = counterexample_report(deep_model)
+        assert sorted(designs) == sorted([(101, n + 1) for n in range(1, 13)] * 2)
+        fit_x, fit_y = report.degree_checks[0].poly_x_given_y, report.degree_checks[0].poly_y_given_x
+        assert report.linear == (
+            fit_x.fitted_coeffs[1],
+            fit_x.fitted_coeffs[0],
+            fit_y.fitted_coeffs[1],
+            fit_y.fitted_coeffs[0],
+            max(fit_x.max_residual, fit_y.max_residual),
+        )
+
     def test_stacked_rows_match_single_calls_and_the_per_k_loop(self, deep_model):
         grid = np.linspace(*deep_model.marginal_y.support, 103)[1:-1]
         lo, hi = deep_model.marginal_x.support

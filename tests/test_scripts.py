@@ -1,9 +1,13 @@
 """The scripts under scripts/ run end to end on the package next to them."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,12 +30,45 @@ def test_reproduce_counterexample_confirms_the_headline_model():
     assert "counterexample confirmed:    True" in result.stdout.splitlines()
 
 
-def test_snapshot_outputs_writes_the_same_42_files_twice(tmp_path):
-    snapshots = []
+@pytest.fixture(scope="module")
+def snapshots(tmp_path_factory):
+    """Two snapshot_outputs.py directories written by this checkout."""
+    root = tmp_path_factory.mktemp("snapshots")
+    runs = []
     for run in ("first", "second"):
-        result = _run_script("snapshot_outputs.py", str(tmp_path / run))
+        result = _run_script("snapshot_outputs.py", str(root / run))
         assert result.returncode == 0, result.stderr
-        files = {path.name: path.read_bytes() for path in (tmp_path / run).iterdir()}
+        runs.append(root / run)
+    return runs
+
+
+def test_snapshot_outputs_writes_the_same_42_files_twice(snapshots):
+    contents = [{path.name: path.read_bytes() for path in run.iterdir()} for run in snapshots]
+    for files in contents:
         assert len(files) == 42 and all(files.values())
-        snapshots.append(files)
-    assert snapshots[0] == snapshots[1]
+    assert contents[0] == contents[1]
+
+
+def test_compare_snapshots_reports_only_an_edited_value(snapshots, tmp_path):
+    first, second = snapshots
+    result = _run_script("compare_snapshots.py", str(first), str(second))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0 of 42 common files differ in bytes"]
+
+    edited = tmp_path / "edited"
+    shutil.copytree(second, edited)
+    report = edited / "report-seed1-model0.json"
+    doc = json.loads(report.read_text())
+    doc["regressions"][1]["polynomial"]["x_given_y"]["fitted_coeffs"][2] += 2.0**-40
+    report.write_text(json.dumps(doc, indent=2))
+    rows = (edited / "bench.csv").read_text().splitlines()
+    rows[2] = rows[2].replace("pball:1", "pball:one")
+    (edited / "bench.csv").write_text("\n".join(rows) + "\n")
+    result = _run_script("compare_snapshots.py", str(first), str(edited))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "bench.csv: fixture: 1 changed, largest change -",
+        "report-seed1-model0.json: regressions[*].polynomial.x_given_y.fitted_coeffs[*]: 1 changed,"
+        f" largest change {2.0**-40:.3g}",
+        "2 of 42 common files differ in bytes",
+    ]
