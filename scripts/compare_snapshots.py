@@ -14,6 +14,9 @@ Each file is read as values, not bytes:
 For each field with a differing value the script prints the file, the field,
 how many of its values differ and the largest absolute change among the
 numeric ones (``-`` when only text, or the presence of a value, differs).
+Beside a numeric change it prints that change as a fraction of the field's
+largest |value| in the first directory's file, so that a change can be read
+against the size of what it changed.
 A file found in one directory only is named as such. The exit status is 0
 whatever differs.
 """
@@ -79,8 +82,19 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+def _scale(values: dict, field: str) -> float:
+    """The largest |value| of a field's numeric values; 0 when it has none."""
+    return max(
+        (abs(v) for f, v in values.values() if f == field and _is_number(v) and not math.isnan(v)),
+        default=0.0,
+    )
+
+
 def changed_fields(a: Path, b: Path) -> dict:
-    """{field: (count of differing values, largest absolute change or None)} of one file pair."""
+    """{field: (count of differing values, largest absolute change or None, scale)} of one file pair.
+
+    The scale is the field's largest |value| in ``a``.
+    """
     old, new = leaves(a), leaves(b)
     fields: dict = {}
     for path in old.keys() | new.keys():
@@ -94,7 +108,7 @@ def changed_fields(a: Path, b: Path) -> dict:
             change = abs(after - before)
             largest = change if largest is None else max(largest, change)
         fields[field] = (count + 1, largest)
-    return fields
+    return {field: (count, largest, _scale(old, field)) for field, (count, largest) in fields.items()}
 
 
 def compare(dir_a: Path, dir_b: Path) -> list[str]:
@@ -108,8 +122,10 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
         if (dir_a / name).read_bytes() == (dir_b / name).read_bytes():
             continue
         differing += 1
-        for field, (count, largest) in sorted(changed_fields(dir_a / name, dir_b / name).items()):
+        for field, (count, largest, scale) in sorted(changed_fields(dir_a / name, dir_b / name).items()):
             size = "-" if largest is None else f"{largest:.3g}"
+            if largest is not None and scale:
+                size += f" ({largest / scale:.3g} of its largest |value|)"
             lines.append(f"{name}: {field}: {count} changed, largest change {size}")
     lines.append(f"{differing} of {len(names_a & names_b)} common files differ in bytes")
     return lines

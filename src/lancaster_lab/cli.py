@@ -53,15 +53,16 @@ from .lancaster import (
     sample_joint,
 )
 from .orthopoly import OrthonormalityError
+from .quadrature import _MAX_AXIS_NODES
 from .regression import counterexample_report
 
 __all__ = ["RunConfig", "run", "main"]
 
 # Input limits, checked before anything is allocated. A grid of n nodes per
-# axis makes an n x n kernel (8 n^2 bytes) and an O(n^3) SVD: 32 MiB at 2048.
+# axis makes an n x n kernel and an O(n^3) SVD: the library's tensor-grid limit.
 # Draws are held in memory at 16 bytes each: 160 MB at 10 million. A looser
 # ACE tolerance than MAX_TOL stops the sweeps before the estimate converges.
-MAX_GRID = 2048
+MAX_GRID = _MAX_AXIS_NODES
 MAX_COUNT = 10_000_000
 MAX_TOL = 1e-3
 

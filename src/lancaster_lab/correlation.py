@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lancaster import LancasterModel
-from .quadrature import _is_count, _values_on, gauss_legendre_rule
+from .quadrature import _MAX_AXIS_NODES, _is_count, _values_on, gauss_legendre_rule
 
 __all__ = [
     "DiscretizedJoint",
@@ -55,9 +55,6 @@ _ZERO_MASS = 1e-9
 
 DEFAULT_MODEL_GRID = 200
 DEFAULT_CURVED_GRID = 400
-
-# ACE sweeps allowed in a correlation report before it gives up.
-_REPORT_ACE_MAX_ITERS = 2000
 
 # Golub-Kahan-Lanczos steps allowed, at most, before the values-only route
 # falls back to the full spectrum. Below it the cap is min(m, n), not one less:
@@ -140,10 +137,12 @@ def discretize_joint(
     components. It may vanish on part of the rectangle (curved regions are
     embedded in their bounding box).
     Mass is renormalized to 1 and nodes whose marginal density falls below
-    1e-12 are dropped.
+    1e-12 are dropped. ``nodes_per_axis`` runs from 16 to 2048.
     """
     if not _is_count(nodes_per_axis) or nodes_per_axis < 16:
         raise ValueError(f"nodes_per_axis must be an integer at least 16, got {nodes_per_axis!r}")
+    if nodes_per_axis > _MAX_AXIS_NODES:
+        raise ValueError(f"nodes_per_axis must be at most {_MAX_AXIS_NODES}, got {nodes_per_axis}")
     (ax, bx), (ay, by) = support
     rule_x = gauss_legendre_rule(nodes_per_axis, float(ax), float(bx))
     rule_y = gauss_legendre_rule(nodes_per_axis, float(ay), float(by))
@@ -401,16 +400,16 @@ def _ace_start(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return centered / np.sqrt(var)
 
 
-def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 1000, tol: float = 1e-9) -> AceResult:
+def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 2000, tol: float = 1e-9) -> AceResult:
     """Maximal correlation by alternating conditional expectations.
 
     Each sweep replaces g1 by E[g2(Y) | X], standardizes it, then updates g2
     symmetrically; the achieved correlation converges monotonically to the
     second singular value of the kernel (this is power iteration on the
     conditional-expectation operator). Stops when successive estimates move
-    by at most tol; raises AceConvergenceError past max_iters. A conditional
-    mean with (numerically) zero variance means the operator annihilates
-    mean-zero functions, so the maximal correlation is 0.
+    by at most tol; raises AceConvergenceError past max_iters (2000). A
+    conditional mean with (numerically) zero variance means the operator
+    annihilates mean-zero functions, so the maximal correlation is 0.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -501,7 +500,7 @@ def correlation_report(
     functions are always admissible transformations).
     """
     rho = pearson(joint)
-    ace = maxcorr_ace(joint, max_iters=_REPORT_ACE_MAX_ITERS, tol=ace_tol)
+    ace = maxcorr_ace(joint, tol=ace_tol)
     svd = maxcorr_svd(joint, vectors=False, lower_bound=ace.R)
     analytic = maxcorr_analytic(model) if model is not None else None
     for label, value in (("svd", svd.R), ("ace", ace.R)):

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .orthopoly import _DEFAULT_QUAD_NODES, MARGINAL_PARAMS, MarginalSpec, OrthonormalSystem, build_system
-from .quadrature import QuadratureRule, _is_count, _real, _reals, _values_on, integrate_2d
+from .quadrature import _MAX_AXIS_NODES, QuadratureRule, _is_count, _real, _reals, _values_on, integrate_2d
 
 __all__ = [
     "BoundViolationError",
@@ -50,10 +50,9 @@ _NEGATIVE_CLAMP = 1e-12
 _DEFAULT_MAX_DEGREE = 8
 
 # Model limits, checked by every build before any rule or system. Model
-# verification integrates on the tensor grid of the two rules (8 n^2 bytes:
-# 32 MiB at 2048 nodes each), and the sup norms take one eigenvalue solve per
-# degree (O(N^4) in all).
-_MAX_QUAD_NODES = 2048
+# verification integrates on the tensor grid of the two rules, so each rule
+# has at most quadrature._MAX_AXIS_NODES nodes, and the sup norms take one
+# eigenvalue solve per degree (O(N^4) in all).
 _MAX_DEGREE_LIMIT = 64
 
 # Proposals per rejection round, at most. Each round takes its x, y and
@@ -258,7 +257,7 @@ def build_model(
 
 def _build_model(marginal_x, marginal_y, count, coefficients, max_degree, quad_nodes) -> LancasterModel:
     """Every model is built here; ``coefficients(c, d)`` makes ``count`` of them from the sup norms."""
-    limits = (("max_degree", max_degree, _MAX_DEGREE_LIMIT), ("quad_nodes", quad_nodes, _MAX_QUAD_NODES))
+    limits = (("max_degree", max_degree, _MAX_DEGREE_LIMIT), ("quad_nodes", quad_nodes, _MAX_AXIS_NODES))
     for name, value, limit in limits:
         if not _is_count(value) or value < 1:
             raise ValueError(f"{name!r} must be an integer >= 1, got {value!r}")
@@ -268,10 +267,10 @@ def _build_model(marginal_x, marginal_y, count, coefficients, max_degree, quad_n
         raise ValueError(f"max_degree ({max_degree}) must be at least the coefficient count ({count})")
     for name, marginal in (("marginal_x", marginal_x), ("marginal_y", marginal_y)):
         size = marginal.rule_size(quad_nodes)
-        if size > _MAX_QUAD_NODES:
+        if size > _MAX_AXIS_NODES:
             raise ValueError(
                 f"{name!r} makes a {size}-node rule at quad_nodes {quad_nodes}"
-                f" (a table's rule grows with its knots); at most {_MAX_QUAD_NODES} nodes"
+                f" (a table's rule grows with its knots); at most {_MAX_AXIS_NODES} nodes"
             )
     system_x = build_system(marginal_x, max_degree, quad_nodes)
     system_y = build_system(marginal_y, max_degree, quad_nodes)

@@ -51,6 +51,9 @@ _TABLE_RENORM_TOL = 1e-6
 _DEGENERATE_BETA = 1e-13
 _DEFAULT_QUAD_NODES = 128
 
+# A system's Gram matrix may be off the identity by at most this.
+_GRAM_TOLERANCE = 1e-10
+
 # A table's composite rule puts at least this many nodes on each knot segment.
 _MIN_SEGMENT_NODES = 16
 
@@ -390,9 +393,9 @@ def build_system(
     system = OrthonormalSystem(np.asarray(alphas), np.sqrt(np.asarray(betas_monic)), marginal.support)
 
     residual = orthonormality_residual(system, marginal, quad_nodes + 37)
-    if residual > 1e-10:
+    if residual > _GRAM_TOLERANCE:
         raise OrthonormalityError(
-            f"orthonormality-failed: Gram residual {residual:.3e} exceeds 1e-10 for the"
+            f"orthonormality-failed: Gram residual {residual:.3e} exceeds {_GRAM_TOLERANCE:.0e} for the"
             f" {marginal.kind} marginal on {marginal.support!r} at max_degree {max_degree}"
             f" with quad_nodes {quad_nodes}"
         )

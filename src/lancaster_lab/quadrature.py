@@ -24,6 +24,10 @@ __all__ = [
     "integrate_2d",
 ]
 
+# Nodes per axis of any tensor grid (a model's rules, a discretization), at
+# most: one n x n float array is 8 n^2 bytes, 32 MiB at 2048.
+_MAX_AXIS_NODES = 2048
+
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_STEPS = 100
 _REFERENCE_CACHE_SIZE = 64

@@ -24,6 +24,7 @@ import numpy as np
 
 from .correlation import DEFAULT_MODEL_GRID, CorrelationReport, correlation_report, discretize_model
 from .lancaster import LancasterModel, transpose_model
+from .orthopoly import _GRAM_TOLERANCE, OrthonormalityError
 from .quadrature import _is_count
 
 __all__ = [
@@ -38,12 +39,6 @@ __all__ = [
     "counterexample_report",
 ]
 
-# Equispaced interior conditioning points; endpoints are excluded because
-# marginals may vanish there and conditionals become undefined.
-_GRID_POINTS = 101
-
-_CONDITION_LIMIT = 1e10
-
 # Slopes below this are quadrature noise, not evidence of rho_1 != 0.
 STRICTNESS_THRESHOLD = 1e-10
 
@@ -53,10 +48,10 @@ class RegressionCheckResult:
     """Outcome of one conditional-moment identity check.
 
     For polynomial-moment checks ``fitted_coeffs`` holds the monomial
-    coefficients (ascending) of the fitted conditional expectation, so the
+    coefficients (ascending) of the weighted least-squares fit, so the
     entries below the top are the lower-order polynomial remainder; for
     eigenfunction checks no fit is involved and it is None. ``max_residual``
-    is the sup over the conditioning grid of the identity defect.
+    is the largest identity defect over the conditioning nodes.
     """
 
     degree: int
@@ -81,10 +76,6 @@ class LinearRegressionResult(NamedTuple):
     def strict(self) -> bool:
         """Both regressions have a genuinely nonzero slope."""
         return abs(self.a1) > STRICTNESS_THRESHOLD and abs(self.b1) > STRICTNESS_THRESHOLD
-
-
-def _conditioning_grid(support: tuple[float, float]) -> np.ndarray:
-    return np.linspace(*support, _GRID_POINTS + 2)[1:-1]
 
 
 def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np.ndarray:
@@ -130,10 +121,12 @@ def _rho_at(model: LancasterModel, n: int) -> float:
 class _Conditioning(NamedTuple):
     """One direction's conditioning pass, on a model oriented so that X is given Y.
 
-    Rows n - 1 of ``eigen`` and ``powers`` hold E(phi_n(X) | Y) and
-    E(X^n | Y) on the conditioning grid for n = 1 .. top; ``psi`` holds
-    psi_0 .. psi_top on the grid and ``monomials`` their monomial coefficients.
-    ``fits`` keeps each degree's polynomial check once it is made.
+    It conditions at the nodes of ``model.rule_y`` with positive mass
+    m_j = w_j f2(y_j), the measure M that built psi_0 .. psi_top. Rows n - 1
+    of ``eigen`` and ``powers`` hold E(phi_n(X) | Y) and E(X^n | Y) there for
+    n = 1 .. top; ``psi`` holds psi_0 .. psi_top and ``monomials`` their
+    monomial coefficients. ``gram`` is Psi M Psi^T and row n - 1 of
+    ``projections`` holds <E(X^n | Y) - means[n - 1], psi_k> on M.
     """
 
     model: LancasterModel
@@ -142,27 +135,43 @@ class _Conditioning(NamedTuple):
     monomials: np.ndarray
     eigen: np.ndarray
     powers: np.ndarray
-    fits: dict[int, RegressionCheckResult]
+    gram: np.ndarray
+    means: np.ndarray
+    projections: np.ndarray
 
 
 def _condition(model: LancasterModel, direction: str) -> _Conditioning:
     top = min(model.system_x.max_degree, model.system_y.max_degree)
-    grid = _conditioning_grid(model.marginal_y.support)
+    masses = model.rule_y.weights * model.marginal_y.density(model.rule_y.nodes)
+    nodes, masses = model.rule_y.nodes[masses > 0.0], masses[masses > 0.0]
 
     def moments_of(t):
         return np.concatenate(
             [model.system_x.evaluate_all(t, upto=top)[1:], [t**n for n in range(1, top + 1)]]
         )
 
-    moments = conditional_expectation(model, moments_of, grid)
+    moments = conditional_expectation(model, moments_of, nodes)
+    powers = moments[top:]
+    # each E(X^n | Y) is its mean plus a small variation: projecting only the
+    # variation keeps the mean's rounding out of the projections on psi_k
+    means = powers @ masses
+    psi = model.system_y.evaluate_all(nodes, upto=top)
+    gram = (psi * masses) @ psi.T
+    defect = float(np.max(np.abs(gram - np.eye(top + 1))))
+    if defect > _GRAM_TOLERANCE:
+        raise OrthonormalityError(
+            f"orthonormality-failed: {direction} Gram residual {defect:.3e} exceeds {_GRAM_TOLERANCE:.0e}"
+        )
     return _Conditioning(
         model=model,
         direction=direction,
-        psi=model.system_y.evaluate_all(grid, upto=top),
+        psi=psi,
         monomials=model.system_y.monomial_coefficients(top),
         eigen=moments[:top],
-        powers=moments[top:],
-        fits={},
+        powers=powers,
+        gram=gram,
+        means=means,
+        projections=((powers - means[:, None]) * masses) @ psi.T,
     )
 
 
@@ -172,9 +181,7 @@ def _conditioning_passes(model: LancasterModel) -> tuple[_Conditioning, _Conditi
 
     Every degree's eigen and polynomial checks read their rows from these, so
     a report conditions once per direction, with one ``conditional_expectation``
-    call each, up to top = min(max_degree_x, max_degree_y), and fits each
-    degree's polynomial once (``check_linear_regression`` reads the degree-1
-    fits that ``check_polynomial_regression`` keeps). Models are
+    call each, up to top = min(max_degree_x, max_degree_y). Models are
     immutable and hash by identity, so one entry holds the passes of the
     model a report is checking.
     """
@@ -198,7 +205,7 @@ def _eigen_check_one(passes: _Conditioning, n: int) -> RegressionCheckResult:
 def check_eigen_regression(
     model: LancasterModel, n: int
 ) -> tuple[RegressionCheckResult, RegressionCheckResult]:
-    """Defect of E(phi_n(X) | Y) = rho_n psi_n(Y) over the conditioning grid.
+    """Defect of E(phi_n(X) | Y) = rho_n psi_n(Y) over the conditioning nodes.
 
     Both conditioning directions are evaluated; the results come back as the
     (X given Y, Y given X) pair.
@@ -207,31 +214,13 @@ def check_eigen_regression(
     return tuple(_eigen_check_one(passes, n) for passes in _conditioning_passes(model))
 
 
-def _checked_lstsq(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    solution, _, _, svals = np.linalg.lstsq(design, targets, rcond=None)
-    condition = float(svals[0] / svals[-1]) if svals[-1] > 0.0 else float("inf")
-    if condition > _CONDITION_LIMIT:
-        raise ValueError(
-            f"ill-conditioned-fit: design condition number {condition:.3e} exceeds"
-            f" {_CONDITION_LIMIT:.0e}; raise the grid size or orthogonalize"
-        )
-    return solution
-
-
 def _poly_check_one(passes: _Conditioning, n: int) -> RegressionCheckResult:
-    if n not in passes.fits:
-        passes.fits[n] = _fit_power(passes, n)
-    return passes.fits[n]
-
-
-def _fit_power(passes: _Conditioning, n: int) -> RegressionCheckResult:
     model = passes.model
-    moments = passes.powers[n - 1]
-    # fit in the orthonormal basis (monomial normal equations degrade fast),
-    # convert to monomial coefficients only for reporting
-    design = passes.psi[: n + 1].T
-    coeff_ortho = _checked_lstsq(design, moments)
-    fit_residual = float(np.max(np.abs(design @ coeff_ortho - moments)))
+    # weighted least squares in the orthonormal basis on the rule's own
+    # measure; convert to monomial coefficients only for reporting
+    coeff_ortho = np.linalg.solve(passes.gram[: n + 1, : n + 1], passes.projections[n - 1, : n + 1])
+    coeff_ortho[0] += passes.means[n - 1]  # psi_0 is 1
+    fit_residual = float(np.max(np.abs(coeff_ortho @ passes.psi[: n + 1] - passes.powers[n - 1])))
     monomial = coeff_ortho @ passes.monomials[: n + 1, : n + 1]
     target = _rho_at(model, n) * model.system_y.leading[n] / model.system_x.leading[n]
     return RegressionCheckResult(
@@ -246,12 +235,14 @@ def _fit_power(passes: _Conditioning, n: int) -> RegressionCheckResult:
 def check_polynomial_regression(
     model: LancasterModel, n: int
 ) -> tuple[RegressionCheckResult, RegressionCheckResult]:
-    """Least-squares fit of E(X^n | Y) against 1, Y, ..., Y^n, both directions.
+    """Least-squares fit of E(X^n | Y) against psi_0(Y) .. psi_n(Y), both directions.
 
-    The fitted degree-n coefficient should equal rho_n q_n / p_n (X given Y)
-    and rho_n p_n / q_n (Y given X); callers compare ``fitted_leading`` with
-    ``target_leading``. The remaining entries of ``fitted_coeffs`` are the
-    lower-degree remainder polynomial.
+    The fit is weighted by the masses of the conditioning nodes, the measure
+    the system was built on, so its normal equations are a Gram system near
+    the identity. The fitted degree-n coefficient should equal
+    rho_n q_n / p_n (X given Y) and rho_n p_n / q_n (Y given X); callers
+    compare ``fitted_leading`` with ``target_leading``. The remaining entries
+    of ``fitted_coeffs`` are the lower-degree remainder polynomial.
     """
     n = _require_degree(model, n)
     return tuple(_poly_check_one(passes, n) for passes in _conditioning_passes(model))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lancaster_lab import build_model, correlation
+from lancaster_lab import build_model, correlation, quadrature
 from lancaster_lab.correlation import (
     AceConvergenceError,
     DiscretizedJoint,
@@ -89,6 +89,18 @@ class TestDiscretizeJoint:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="at least 16"):
             discretize_joint(disc_density, UNIT_BOX, 8)
+
+    def test_grid_above_the_tensor_limit_is_rejected_before_any_rule(self, ce_model, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(correlation, "gauss_legendre_rule", no_rule)
+        for discretize in (
+            lambda n: discretize_joint(disc_density, UNIT_BOX, n),
+            lambda n: discretize_model(ce_model, n),
+        ):
+            with pytest.raises(ValueError, match="at most 2048"):
+                discretize(quadrature._MAX_AXIS_NODES + 1)
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

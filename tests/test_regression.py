@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -6,11 +7,10 @@ import pytest
 
 import lancaster_lab
 from lancaster_lab import regression
-from lancaster_lab.lancaster import build_model, model_from_config
-from lancaster_lab.orthopoly import MarginalSpec
+from lancaster_lab.lancaster import build_model, model_from_config, transpose_model
+from lancaster_lab.orthopoly import MarginalSpec, OrthonormalityError, build_system
 from lancaster_lab.quadrature import gauss_legendre_rule, integrate
 from lancaster_lab.regression import (
-    _checked_lstsq,
     check_eigen_regression,
     check_linear_regression,
     check_polynomial_regression,
@@ -133,12 +133,13 @@ class TestPolynomialRegression:
                 abs(result.target_leading), 1.0
             )
 
-    def test_ill_conditioned_fit_raises(self):
-        rng = np.random.default_rng(0)
-        column = rng.normal(size=40)
-        design = np.column_stack([column, column * (1.0 + 1e-14)])
-        with pytest.raises(ValueError, match="ill-conditioned-fit"):
-            _checked_lstsq(design, rng.normal(size=40))
+    @pytest.mark.parametrize("check", [check_eigen_regression, check_polynomial_regression])
+    def test_a_system_foreign_to_its_rule_raises(self, ce_model, beta23, check):
+        # the beta(2, 3) system is not orthonormal on the uniform rule, so the
+        # Gram matrix of the x-given-y pass is far off the identity
+        foreign = dataclasses.replace(ce_model, system_y=build_system(beta23, ce_model.system_y.max_degree))
+        with pytest.raises(OrthonormalityError, match="x_given_y"):
+            check(foreign, 1)
 
 
 class TestLinearRegression:
@@ -211,6 +212,19 @@ class TestCounterexampleReport:
             assert checks.eigen_x_given_y.max_residual <= 1e-8
             assert checks.poly_y_given_x.max_residual <= 1e-8
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_a_table_with_a_zero_density_gap_confirms(self, uniform01, transposed):
+        # the table vanishes on [0.4, 0.6]: conditioning there is undefined,
+        # and the checks condition only at rule nodes that carry mass
+        values = tuple(v / 0.7 for v in (1.0, 1.0, 0.0, 0.0, 1.0, 1.0))
+        gap_table = MarginalSpec("table", (0.0, 1.0), ((0.0, 0.3, 0.4, 0.6, 0.7, 1.0), values))
+        model = build_model(gap_table, uniform01, (0.05, 0.1))
+        report = counterexample_report(transpose_model(model) if transposed else model)
+        assert report.counterexample_confirmed
+        for checks in report.degree_checks:
+            assert checks.eigen_x_given_y.max_residual <= 1e-8
+            assert checks.eigen_y_given_x.max_residual <= 1e-8
+
 
 @pytest.fixture(scope="module")
 def asymmetric_model(uniform01, beta23):
@@ -231,15 +245,34 @@ class TestLinearRegressionReadsTheDegreeOneFits:
 
 
 @pytest.fixture(scope="module")
-def deep_model():
-    """Config (d) of the verify-models benchmark for seed 7: uniform x beta, N = 12, max_degree 16."""
+def workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def deep_model(workloads):
+    """Config (d) of the verify-models benchmark for seed 7: uniform x beta, N = 12, max_degree 16."""
     cfg = workloads.model_configs(lancaster_lab, np.random.default_rng(7))[3]
     assert cfg["rho_builder"]["N"] == 12 and cfg["max_degree"] == 16
     return model_from_config(cfg)
+
+
+def test_leading_coefficients_of_the_benchmark_configs(workloads):
+    # the 80 verify-models configs of seeds 1-20, both directions: degrees
+    # 1-9 reach at worst 6.7e-8. Degrees 10-12 are not gated: the degree-n
+    # part of E(X^n | Y) is tiny next to its mean, and the rounding of the
+    # computed moments alone puts the fit up to 3.9e-4 off there
+    for seed in range(1, 21):
+        for cfg in workloads.model_configs(lancaster_lab, np.random.default_rng(seed)):
+            model = model_from_config(cfg)
+            for n in range(1, min(len(model.coeffs), 9) + 1):
+                for result in check_polynomial_regression(model, n):
+                    scale = max(abs(result.target_leading), 1.0)
+                    assert abs(result.fitted_leading - result.target_leading) <= 1e-7 * scale, (seed, n)
 
 
 def per_k_loop(model, h, y):
@@ -278,18 +311,9 @@ class TestOneConditioningPassPerDirection:
         assert calls[1].marginal_x is deep_model.marginal_y
         assert len(report.degree_checks) == 12
 
-    def test_a_report_fits_each_degree_once_per_direction(self, deep_model, monkeypatch):
-        designs = []
-
-        def spy(design, targets):
-            designs.append(design.shape)
-            return checked_lstsq(design, targets)
-
-        checked_lstsq = regression._checked_lstsq
+    def test_a_report_s_linear_result_is_its_two_degree_one_fits(self, deep_model):
         regression._conditioning_passes.cache_clear()
-        monkeypatch.setattr(regression, "_checked_lstsq", spy)
         report = counterexample_report(deep_model)
-        assert sorted(designs) == sorted([(101, n + 1) for n in range(1, 13)] * 2)
         fit_x, fit_y = report.degree_checks[0].poly_x_given_y, report.degree_checks[0].poly_y_given_x
         assert report.linear == (
             fit_x.fitted_coeffs[1],

@@ -59,6 +59,9 @@ def test_compare_snapshots_reports_only_an_edited_value(snapshots, tmp_path):
     shutil.copytree(second, edited)
     report = edited / "report-seed1-model0.json"
     doc = json.loads(report.read_text())
+    scale = max(
+        abs(c) for entry in doc["regressions"] for c in entry["polynomial"]["x_given_y"]["fitted_coeffs"]
+    )
     doc["regressions"][1]["polynomial"]["x_given_y"]["fitted_coeffs"][2] += 2.0**-40
     report.write_text(json.dumps(doc, indent=2))
     rows = (edited / "bench.csv").read_text().splitlines()
@@ -69,6 +72,6 @@ def test_compare_snapshots_reports_only_an_edited_value(snapshots, tmp_path):
     assert result.stdout.splitlines() == [
         "bench.csv: fixture: 1 changed, largest change -",
         "report-seed1-model0.json: regressions[*].polynomial.x_given_y.fitted_coeffs[*]: 1 changed,"
-        f" largest change {2.0**-40:.3g}",
+        f" largest change {2.0**-40:.3g} ({2.0**-40 / scale:.3g} of its largest |value|)",
         "2 of 42 common files differ in bytes",
     ]
