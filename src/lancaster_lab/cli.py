@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 from .correlation import (
     DEFAULT_MODEL_GRID,
+    MIN_GRID,
     AceConvergenceError,
     SpectralFailureError,
     correlation_report,
@@ -53,13 +54,14 @@ from .lancaster import (
     sample_joint,
 )
 from .orthopoly import OrthonormalityError
-from .quadrature import _MAX_AXIS_NODES
+from .quadrature import _MAX_AXIS_NODES, _count, _real
 from .regression import counterexample_report
 
 __all__ = ["RunConfig", "run", "main"]
 
 # Input limits, checked before anything is allocated. A grid of n nodes per
-# axis makes an n x n kernel and an O(n^3) SVD: the library's tensor-grid limit.
+# axis (at least correlation.MIN_GRID) makes an n x n kernel and an O(n^3) SVD:
+# the library's tensor-grid limit.
 # Draws are held in memory at 16 bytes each: 160 MB at 10 million. A looser
 # ACE tolerance than MAX_TOL stops the sweeps before the estimate converges.
 MAX_GRID = _MAX_AXIS_NODES
@@ -72,7 +74,11 @@ _SAMPLE_CHUNK_ROWS = 16384
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One CLI invocation, fully resolved."""
+    """One CLI invocation, fully resolved.
+
+    ``format`` None takes the command's default from ``_COMMANDS``: json for
+    ``validate`` and ``report``, csv for the others.
+    """
 
     command: str
     model_path: str | None = None
@@ -80,7 +86,7 @@ class RunConfig:
     grid: int | None = None
     seed: int = 0
     output_path: str | None = None
-    format: str = "json"
+    format: str | None = None
     count: int = 1000
     tol: float = 1e-9
 
@@ -89,22 +95,19 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.command == "validate" and self.model_path is None:
             raise ValueError("validate needs a model config: --model PATH")
-        if self.grid is not None and self.grid < 16:
-            raise ValueError("grid must be at least 16 nodes per axis")
-        if self.grid is not None and self.grid > MAX_GRID:
-            raise ValueError(f"grid must be at most {MAX_GRID} nodes per axis, got {self.grid}")
+        if self.grid is not None:
+            _count(self.grid, "--grid", MIN_GRID, MAX_GRID)
+        if self.format is None:
+            object.__setattr__(self, "format", _COMMANDS[self.command][2])
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
-        if self.count < 1:
-            raise ValueError("count must be positive")
-        if self.count > MAX_COUNT:
-            raise ValueError(f"count must be at most {MAX_COUNT}, got {self.count}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"--seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if self.tol > MAX_TOL:
-            raise ValueError(f"tol must be at most {MAX_TOL}, got {self.tol}")
+        _count(self.count, "--count", 1, MAX_COUNT)
+        _count(self.seed, "--seed", 0, 2**64 - 1)
+        tol = _real(self.tol, "--tol")
+        if not tol > 0.0:
+            raise ValueError(f"--tol must be positive, got {tol}")
+        if tol > MAX_TOL:
+            raise ValueError(f"--tol must be at most {MAX_TOL}, got {tol}")
 
 
 def _fmt(value: float) -> str:
@@ -371,14 +374,14 @@ def _cmd_bench(config: RunConfig) -> int:
     return 0
 
 
-# Each command: the function that runs it and the flags it reads. A command
-# accepts no other flag.
+# Each command: the function that runs it, the flags it reads (it accepts no
+# other) and its default output format.
 _COMMANDS = {
-    "validate": (_cmd_validate, ("--model", "--out", "--format")),
-    "report": (_cmd_report, ("--model", "--fixture", "--grid", "--tol", "--out", "--format")),
-    "maxcorr": (_cmd_maxcorr, ("--model", "--fixture", "--grid", "--out", "--format")),
-    "sample": (_cmd_sample, ("--model", "--fixture", "--count", "--seed", "--out", "--format")),
-    "bench": (_cmd_bench, ("--grid", "--tol", "--out", "--format")),
+    "validate": (_cmd_validate, ("--model", "--out", "--format"), "json"),
+    "report": (_cmd_report, ("--model", "--fixture", "--grid", "--tol", "--out", "--format"), "json"),
+    "maxcorr": (_cmd_maxcorr, ("--model", "--fixture", "--grid", "--out", "--format"), "csv"),
+    "sample": (_cmd_sample, ("--model", "--fixture", "--count", "--seed", "--out", "--format"), "csv"),
+    "bench": (_cmd_bench, ("--grid", "--tol", "--out", "--format"), "csv"),
 }
 
 
@@ -413,8 +416,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# How argparse reads each flag. A flag left unset takes RunConfig's default,
-# except --format, whose default each command sets.
+# How argparse reads each flag. A flag left unset takes RunConfig's default.
 _FLAG_ARGS = {
     "--model": {"dest": "model_path", "metavar": "PATH", "help": "JSON model config file"},
     "--fixture": {"metavar": "NAME", "help": "built-in fixture name"},
@@ -436,14 +438,13 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, flags) in _COMMANDS.items():
+    for name, (handler, flags, _) in _COMMANDS.items():
         cmd = sub.add_parser(
             name, help=handler.__doc__, argument_default=argparse.SUPPRESS, allow_abbrev=False
         )
         for flag in flags:
             required = (name, flag) == ("validate", "--model")
             cmd.add_argument(flag, required=required, **_FLAG_ARGS[flag])
-        cmd.set_defaults(format="json" if name in ("validate", "report") else "csv")
     return parser
 
 

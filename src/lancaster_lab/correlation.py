@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lancaster import LancasterModel
-from .quadrature import _MAX_AXIS_NODES, _is_count, _values_on, gauss_legendre_rule
+from .quadrature import _MAX_AXIS_NODES, _count, _values_on, gauss_legendre_rule
 
 __all__ = [
     "DiscretizedJoint",
@@ -55,6 +55,8 @@ _ZERO_MASS = 1e-9
 
 DEFAULT_MODEL_GRID = 200
 DEFAULT_CURVED_GRID = 400
+# Nodes per axis of a discretization, at least; at most quadrature._MAX_AXIS_NODES.
+MIN_GRID = 16
 
 # Golub-Kahan-Lanczos steps allowed, at most, before the values-only route
 # falls back to the full spectrum. Below it the cap is min(m, n), not one less:
@@ -81,7 +83,7 @@ class AceConvergenceError(RuntimeError):
     def __init__(self, last_estimate: float, gap: float, iterations: int):
         self.last_estimate = float(last_estimate)
         self.gap = float(gap)
-        self.iterations = int(iterations)
+        self.iterations = iterations
         super().__init__(
             f"no-convergence: after {iterations} iterations the estimate is"
             f" {last_estimate:.12g} with successive change {gap:.3e}"
@@ -139,10 +141,7 @@ def discretize_joint(
     Mass is renormalized to 1 and nodes whose marginal density falls below
     1e-12 are dropped. ``nodes_per_axis`` runs from 16 to 2048.
     """
-    if not _is_count(nodes_per_axis) or nodes_per_axis < 16:
-        raise ValueError(f"nodes_per_axis must be an integer at least 16, got {nodes_per_axis!r}")
-    if nodes_per_axis > _MAX_AXIS_NODES:
-        raise ValueError(f"nodes_per_axis must be at most {_MAX_AXIS_NODES}, got {nodes_per_axis}")
+    nodes_per_axis = _count(nodes_per_axis, "nodes_per_axis", MIN_GRID, _MAX_AXIS_NODES)
     (ax, bx), (ay, by) = support
     rule_x = gauss_legendre_rule(nodes_per_axis, float(ax), float(bx))
     rule_y = gauss_legendre_rule(nodes_per_axis, float(ay), float(by))
@@ -413,8 +412,7 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 2000, tol: float = 1e-
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if not _is_count(max_iters) or max_iters < 1:
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    max_iters = _count(max_iters, "max_iters", 1)
     masses = joint.masses
     p, q = joint.marginal_x, joint.marginal_y
     g2 = _ace_start(joint.y_nodes, q)

@@ -48,7 +48,7 @@ class Fixture:
     """One named benchmark: its joint at a grid size, and its reference value.
 
     ``joint(grid)`` discretizes at ``grid`` nodes per axis, or at the
-    fixture's default when ``grid`` is None or 0; a pmf fixture ignores it.
+    fixture's default when ``grid`` is None; a pmf fixture ignores it.
     ``model`` is the expansion model behind an fgm fixture, None otherwise.
     """
 
@@ -60,7 +60,7 @@ class Fixture:
 
 def _gridded(discretize: Callable[[int], DiscretizedJoint], default_grid: int) -> Callable:
     def joint(grid: int | None = None) -> DiscretizedJoint:
-        return discretize(int(grid) if grid else default_grid)
+        return discretize(default_grid if grid is None else grid)
 
     return joint
 

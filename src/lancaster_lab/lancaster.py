@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .orthopoly import _DEFAULT_QUAD_NODES, MARGINAL_PARAMS, MarginalSpec, OrthonormalSystem, build_system
-from .quadrature import _MAX_AXIS_NODES, QuadratureRule, _is_count, _real, _reals, _values_on, integrate_2d
+from .quadrature import _MAX_AXIS_NODES, QuadratureRule, _count, _real, _reals, _values_on, integrate_2d
 
 __all__ = [
     "BoundViolationError",
@@ -129,9 +129,7 @@ def validate_coefficients(rho: Sequence[float], c, d) -> CoefficientSequence:
 
 def build_sequence_quadratic(c, d, count: int) -> CoefficientSequence:
     """rho_n = 6 / (pi^2 n^2 c_n d_n); always admissible since sum 1/n^2 < pi^2/6."""
-    if not _is_count(count) or count < 1:
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    count = int(count)
+    count = _count(count, "count", 1)
     cs, ds = _sup_norm_slices(c, d, count)
     n = np.arange(1, count + 1, dtype=float)
     rho = 6.0 / (math.pi**2 * n**2 * cs * ds)
@@ -140,9 +138,7 @@ def build_sequence_quadratic(c, d, count: int) -> CoefficientSequence:
 
 def build_sequence_linear(c, d, count: int, lam: float) -> CoefficientSequence:
     """rho_n = lambda * n for n <= count; admissible iff lambda <= 1 / sum n c_n d_n."""
-    if not _is_count(count) or count < 1:
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    count = int(count)
+    count = _count(count, "count", 1)
     cs, ds = _sup_norm_slices(c, d, count)
     lam = _real(lam, "lambda")
     lam_max = 1.0 / float(np.sum(np.arange(1, count + 1) * cs * ds))
@@ -185,7 +181,8 @@ class LancasterModel:
         if _is_open_grid(ax, ay):
             px = self.system_x.evaluate_all(ax[:, 0], upto=n)
             py = self.system_y.evaluate_all(ay[0], upto=n)
-            factor = (px[1:].T * self.coeffs.rho) @ py[1:]
+            # np.dot, not matmul: matmul leaves an inner dimension of 1 (N = 1) to a slow loop
+            factor = np.dot(px[1:].T * self.coeffs.rho, py[1:])
             factor += 1.0
             return factor
         px = self.system_x.evaluate_all(ax, upto=n)
@@ -257,12 +254,8 @@ def build_model(
 
 def _build_model(marginal_x, marginal_y, count, coefficients, max_degree, quad_nodes) -> LancasterModel:
     """Every model is built here; ``coefficients(c, d)`` makes ``count`` of them from the sup norms."""
-    limits = (("max_degree", max_degree, _MAX_DEGREE_LIMIT), ("quad_nodes", quad_nodes, _MAX_AXIS_NODES))
-    for name, value, limit in limits:
-        if not _is_count(value) or value < 1:
-            raise ValueError(f"{name!r} must be an integer >= 1, got {value!r}")
-        if value > limit:
-            raise ValueError(f"{name!r} must be at most {limit}, got {value}")
+    max_degree = _count(max_degree, "'max_degree'", 1, _MAX_DEGREE_LIMIT)
+    quad_nodes = _count(quad_nodes, "'quad_nodes'", 1, _MAX_AXIS_NODES)
     if count > max_degree:
         raise ValueError(f"max_degree ({max_degree}) must be at least the coefficient count ({count})")
     for name, marginal in (("marginal_x", marginal_x), ("marginal_y", marginal_y)):
@@ -282,7 +275,7 @@ def _build_model(marginal_x, marginal_y, count, coefficients, max_degree, quad_n
         coeffs=coefficients(system_x.sup_norms[1:], system_y.sup_norms[1:]),
         rule_x=marginal_x.quadrature_rule(quad_nodes),
         rule_y=marginal_y.quadrature_rule(quad_nodes),
-        quad_nodes=int(quad_nodes),
+        quad_nodes=quad_nodes,
     )
     _verify_model(model)
     return model
@@ -372,11 +365,8 @@ def sample_joint(
     fixed seed. With ``with_stats`` the samples come paired with the proposal
     count and realized acceptance rate.
     """
-    if not _is_count(count) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    if not _is_count(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    count, seed = int(count), int(seed)
+    count = _count(count, "count", 1)
+    seed = _count(seed, "seed", 0)
     envelope = 1.0 + model.coeffs.bound_value
     inverse_x = _InverseCdfTable(model.marginal_x)
     inverse_y = _InverseCdfTable(model.marginal_y)
@@ -472,10 +462,11 @@ def model_from_config(cfg: dict) -> LancasterModel:
     and without it the coefficient count must be at most 64. Values of the
     wrong JSON type raise ValueError: a number is an integer or a float
     (never a bool or a string), an array of numbers is an array, ``N``
-    must be an integer, and a marginal's ``params`` is an object with
-    exactly its kind's keys (``orthopoly.MARGINAL_PARAMS``). The model is
-    built as ``build_model`` builds it, under the same limits on
-    ``max_degree``, ``quad_nodes`` and the rules.
+    is an integer >= 1, read before anything is built, and a marginal's
+    ``params`` is an object with exactly its kind's keys
+    (``orthopoly.MARGINAL_PARAMS``). The model is built as ``build_model``
+    builds it, under the same limits on ``max_degree``, ``quad_nodes`` and
+    the rules.
     """
     if not isinstance(cfg, dict):
         raise ValueError("model config must be a JSON object")
@@ -496,9 +487,7 @@ def model_from_config(cfg: dict) -> LancasterModel:
         builder = cfg["rho_builder"]
         if not isinstance(builder, dict) or "type" not in builder or "N" not in builder:
             raise ValueError("'rho_builder' must be an object with 'type' and 'N'")
-        count = builder["N"]
-        if not _is_count(count):
-            raise ValueError(f"malformed model config: 'N' must be an integer, got {count!r}")
+        count = _count(builder["N"], "rho_builder 'N'", 1)
         if builder["type"] == "quadratic":
             coefficients = functools.partial(build_sequence_quadratic, count=count)
         elif builder["type"] == "linear":

@@ -24,7 +24,7 @@ import numpy as np
 
 from .quadrature import (
     QuadratureRule,
-    _is_count,
+    _count,
     _real,
     _reals,
     composite_gauss_legendre,
@@ -179,10 +179,11 @@ class MarginalSpec:
         A table spreads n_nodes over its knot segments, at least
         ``_MIN_SEGMENT_NODES`` per segment, so its rule can be larger.
         """
+        n_nodes = _count(n_nodes, "n_nodes", 1)
         if self.kind != "table":
-            return int(n_nodes)
+            return n_nodes
         segments = len(self.params[0]) - 1
-        return segments * max(_MIN_SEGMENT_NODES, -(-int(n_nodes) // segments))
+        return segments * max(_MIN_SEGMENT_NODES, -(-n_nodes // segments))
 
     def quadrature_rule(self, n_nodes: int) -> QuadratureRule:
         """A rule exact for polynomials times this density.
@@ -190,10 +191,11 @@ class MarginalSpec:
         Table densities get a per-segment composite rule so the kinks at the
         knots never touch the quadrature error.
         """
+        size = self.rule_size(n_nodes)
         if self.kind == "table":
             knots = self.params[0]
-            return composite_gauss_legendre(knots, self.rule_size(n_nodes) // (len(knots) - 1))
-        return gauss_legendre_rule(int(n_nodes), *self.support)
+            return composite_gauss_legendre(knots, size // (len(knots) - 1))
+        return gauss_legendre_rule(size, *self.support)
 
     def measure(self, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and point masses of the quadrature rule times this density.
@@ -244,9 +246,8 @@ class OrthonormalSystem:
 
     def evaluate_all(self, x, upto: int | None = None) -> np.ndarray:
         """Stack phi_0 .. phi_upto evaluated at x along the first axis."""
-        n = self.max_degree if upto is None else int(upto)
-        if not 0 <= n <= self.max_degree:
-            raise ValueError(f"degree-out-of-range: {n} not in [0, {self.max_degree}]")
+        top = self.max_degree
+        n = top if upto is None else _count(upto, "degree-out-of-range: degree", 0, top)
         arr = np.asarray(x, dtype=float)
         b = self.offdiagonals
         out = np.empty((n + 1,) + arr.shape)
@@ -264,13 +265,13 @@ class OrthonormalSystem:
 
     def evaluate(self, n: int, x):
         """phi_n at x via the three-term recurrence."""
+        n = _count(n, "degree-out-of-range: degree", 0, self.max_degree)
         return self.evaluate_all(x, upto=n)[n]
 
     def monomial_coefficients(self, n: int | None = None) -> np.ndarray:
         """Lower-triangular matrix C with C[k, j] the coefficient of x**j in phi_k."""
-        n = self.max_degree if n is None else int(n)
-        if not 0 <= n <= self.max_degree:
-            raise ValueError(f"degree-out-of-range: {n} not in [0, {self.max_degree}]")
+        top = self.max_degree
+        n = top if n is None else _count(n, "degree-out-of-range: degree", 0, top)
         b = self.offdiagonals
         coeff = np.zeros((n + 1, n + 1))
         coeff[0, 0] = 1.0
@@ -347,11 +348,8 @@ def build_system(
     rule too small for the degrees, a rough marginal, or rounding on a
     support far from 0, where a larger rule does not help.
     """
-    if not _is_count(max_degree) or max_degree < 1:
-        raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
-    if not _is_count(quad_nodes):
-        raise ValueError(f"quad_nodes must be an integer, got {quad_nodes!r}")
-    max_degree = int(max_degree)
+    max_degree = _count(max_degree, "max_degree", 1)
+    quad_nodes = _count(quad_nodes, "quad_nodes", 1)
     x, w = marginal.measure(quad_nodes)
     if x.size < max_degree + 1:
         raise ValueError("quad_nodes too small for the requested max_degree")

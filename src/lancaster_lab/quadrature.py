@@ -104,9 +104,20 @@ def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ref_nodes, ref_weights
 
 
-def _is_count(value) -> bool:
-    """True for a Python or numpy integer; a bool, a float or any other type is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _count(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int when it is a Python or numpy integer in [low, high].
+
+    ``high`` None leaves the count unbounded above. A bool, a float, a string
+    or any other type, and an integer out of range, raise ValueError naming
+    ``name``; nothing is rounded or truncated.
+    """
+    if type(value) is not int and not isinstance(value, np.integer):  # a bool's type is bool
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return int(value)
 
 
 def _real(value, name: str) -> float:
@@ -141,14 +152,13 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     [-1, 1], and each call maps that reference rule affinely onto [a, b].
     The reference rules of the 64 most recently used node counts are kept.
     """
-    if not _is_count(n) or n < 1:
-        raise ValueError(f"invalid-order: node count must be a positive integer, got {n!r}")
+    n = _count(n, "invalid-order: node count n", 1)
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise ValueError(f"invalid-interval: need finite a < b, got [{a!r}, {b!r}]")
     if not math.isfinite(float(b) - float(a)):
         raise ValueError(f"invalid-interval: the width b - a overflows, got [{a!r}, {b!r}]")
 
-    ref_nodes, ref_weights = _reference_rule(int(n))
+    ref_nodes, ref_weights = _reference_rule(n)
     mid = 0.5 * a + 0.5 * b  # a + b can overflow where the width does not
     half = 0.5 * (b - a)
     return QuadratureRule(mid + half * ref_nodes, half * ref_weights, (float(a), float(b)))
@@ -160,6 +170,7 @@ def composite_gauss_legendre(breakpoints: Sequence[float], nodes_per_segment: in
     Exact for integrands that are polynomial on each segment (degree up to
     2 * nodes_per_segment - 1), which is what piecewise-linear densities need.
     """
+    nodes_per_segment = _count(nodes_per_segment, "invalid-order: nodes_per_segment", 1)
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 1 or pts.size < 2 or not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
         raise ValueError("invalid-interval: breakpoints must be finite and strictly increasing")

@@ -25,7 +25,7 @@ import numpy as np
 from .correlation import DEFAULT_MODEL_GRID, CorrelationReport, correlation_report, discretize_model
 from .lancaster import LancasterModel, transpose_model
 from .orthopoly import _GRAM_TOLERANCE, OrthonormalityError
-from .quadrature import _is_count
+from .quadrature import _count
 
 __all__ = [
     "RegressionCheckResult",
@@ -251,9 +251,7 @@ def check_polynomial_regression(
 def _require_degree(model: LancasterModel, n: int) -> int:
     """``n`` as an int; it must be an integer (bool excluded) in [1, top]."""
     top = min(model.system_x.max_degree, model.system_y.max_degree)
-    if not _is_count(n) or not 1 <= n <= top:
-        raise ValueError(f"degree-out-of-range: {n!r} is not an integer in [1, {top}]")
-    return int(n)
+    return _count(n, "degree-out-of-range: degree n", 1, top)
 
 
 def check_linear_regression(model: LancasterModel) -> LinearRegressionResult:

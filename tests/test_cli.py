@@ -384,6 +384,46 @@ class TestFlagTable:
         assert reached == [cli.RunConfig(command, model_path=model, format=expected_format)]
 
 
+class TestRunConfigValues:
+    @pytest.mark.parametrize(
+        "command,field,value",
+        [
+            ("sample", "count", "5"),
+            ("sample", "count", 2.5),
+            ("sample", "seed", 1.5),
+            ("sample", "seed", True),
+            ("bench", "grid", 2.5),
+            ("bench", "grid", "64"),
+            ("bench", "tol", "x"),
+            ("bench", "tol", None),
+        ],
+    )
+    def test_a_value_of_another_type_is_a_value_error_naming_its_flag(self, command, field, value):
+        with pytest.raises(ValueError, match=f"^--{field} must be (an integer|a real number), got "):
+            cli.RunConfig(command, **{field: value})
+
+    def test_numpy_numbers_are_accepted(self):
+        config = cli.RunConfig("sample", count=np.int64(5), seed=np.uint64(2**64 - 1))
+        assert (config.count, config.seed) == (5, 2**64 - 1)
+        config = cli.RunConfig("bench", grid=np.int32(64), tol=np.float32(1e-6))
+        assert (config.grid, config.tol) == (64, np.float32(1e-6))
+
+    @pytest.mark.parametrize(
+        "command,expected",
+        [("validate", "json"), ("report", "json"), ("maxcorr", "csv"), ("sample", "csv"), ("bench", "csv")],
+    )
+    def test_format_defaults_to_the_commands_own(self, command, expected):
+        assert cli.RunConfig(command, model_path="m.json").format == expected
+
+    def test_run_writes_sample_csv_by_default_as_the_command_line_does(self, tmp_path):
+        library = tmp_path / "library.csv"
+        command_line = tmp_path / "command_line.csv"
+        assert cli.run(cli.RunConfig("sample", fixture="fgm:0.2", count=3, output_path=str(library))) == 0
+        assert main(["sample", "--fixture", "fgm:0.2", "--count", "3", "--out", str(command_line)]) == 0
+        assert library.read_text().startswith("x,y\n")
+        assert library.read_bytes() == command_line.read_bytes()
+
+
 class TestErrorHandling:
     def test_missing_model_file(self, capsys):
         assert main(["report", "--model", "/nonexistent/path.json"]) == 1
@@ -485,24 +525,6 @@ class TestErrorHandling:
             " this command needs --model or an fgm fixture"
         ]
 
-    @pytest.mark.parametrize(
-        "key,value",
-        [("N", 2.9), ("N", True), ("max_degree", 8.7), ("quad_nodes", 130.5)],
-    )
-    def test_non_integer_counts_end_in_one_config_error(self, tmp_path, capsys, key, value):
-        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
-        if key == "N":
-            cfg.pop("rho")
-            cfg["rho_builder"] = {"type": "quadratic", "N": value}
-        else:
-            cfg[key] = value
-        path = tmp_path / "count.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["report", "--model", str(path)]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
-        assert f"{key!r} must be an integer" in errors[0]
-
     @pytest.mark.parametrize("key,value", [("quad_nodes", 20000), ("max_degree", 1000000)])
     def test_oversized_counts_end_in_one_config_error_before_any_build(
         self, tmp_path, capsys, monkeypatch, key, value
@@ -519,6 +541,31 @@ class TestErrorHandling:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith("error: config-error: ")
         assert f"{key!r} must be at most" in errors[0]
+
+    @pytest.mark.parametrize(
+        "value", [True, 2.0, 2.9, "3", None, 0, -3], ids=["true", "2.0", "2.9", "str", "null", "0", "-3"]
+    )
+    @pytest.mark.parametrize("key", ["max_degree", "quad_nodes", "N"])
+    def test_bad_config_counts_end_in_one_config_error_before_any_build(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built from a bad count")
+
+        monkeypatch.setattr("lancaster_lab.lancaster.build_system", no_build)
+        cfg = json.loads(json.dumps(HEADLINE_CONFIG))
+        if key == "N":
+            del cfg["rho"]
+            cfg["rho_builder"] = {"type": "quadratic", "N": value}
+        else:
+            cfg[key] = value
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--model", str(path)]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: config-error: "), errors
+        in_range = "must be at least 1" if type(value) is int else "must be an integer"
+        assert f"{key!r} {in_range}, got " in errors[0]
 
     @pytest.mark.parametrize("axis", ["marginal_x", "marginal_y"])
     def test_a_table_whose_rule_is_oversized_ends_in_one_config_error_before_any_build(

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import lancaster_lab
 from lancaster_lab import lancaster
 from lancaster_lab.correlation import discretize_model, maxcorr_ace
+from lancaster_lab.fixtures import resolve_fixture
 from lancaster_lab.lancaster import (
     BoundViolationError,
     build_model,
@@ -24,7 +26,8 @@ from lancaster_lab.lancaster import (
     validate_coefficients,
 )
 from lancaster_lab.orthopoly import MarginalSpec, build_system
-from lancaster_lab.quadrature import _values_on, integrate_2d
+from lancaster_lab.quadrature import _values_on, composite_gauss_legendre, gauss_legendre_rule, integrate_2d
+from lancaster_lab.regression import check_eigen_regression, check_polynomial_regression
 from reference_routes import (
     conditional_density_x_given_y,
     density_pointwise,
@@ -580,8 +583,8 @@ class TestBuildModelValidation:
             ({"marginal_x": _uniform_table(2000)}, "'marginal_x' makes a 31984-node rule at quad_nodes 128"),
             ({"marginal_y": _uniform_table(2000)}, "'marginal_y' makes a 31984-node rule at quad_nodes 128"),
             # a table's rule has 16 nodes per segment at any quad_nodes, so only the count can stop these
-            ({"marginal_x": _uniform_table(3), "quad_nodes": 0}, "'quad_nodes' must be an integer >= 1"),
-            ({"marginal_x": _uniform_table(3), "quad_nodes": -5}, "'quad_nodes' must be an integer >= 1"),
+            ({"marginal_x": _uniform_table(3), "quad_nodes": 0}, "'quad_nodes' must be at least 1"),
+            ({"marginal_x": _uniform_table(3), "quad_nodes": -5}, "'quad_nodes' must be at least 1"),
         ],
         ids=["quad_nodes", "max_degree", "table-x", "table-y", "table-quad_nodes-0", "table-quad_nodes-negative"],
     )
@@ -679,10 +682,19 @@ class TestOpenGridDensity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("slot", range(4))
     def test_open_grid_is_within_the_rounding_bound_of_the_pointwise_sums(self, seed, slot):
+        self._check_rounding_bound(model_from_config(_verify_models_configs(seed)[slot]))
+
+    @pytest.mark.parametrize("rho1", [0.2, -0.3])
+    def test_an_n1_model_is_within_the_same_bound(self, uniform01, beta23, rho1):
+        # N = 1 is an inner dimension of 1 in the open grid's product (the fgm fixtures)
+        self._check_rounding_bound(build_model(uniform01, uniform01, (rho1,)))
+        self._check_rounding_bound(build_model(beta23, uniform01, (rho1 / 4.0,)))
+
+    @staticmethod
+    def _check_rounding_bound(model):
         # Both routes add the same N + 1 terms, each at most f1 f2 |rho_n| c_n d_n, and scale
         # by f1 and f2: each is within (N + 3) eps f1 f2 (1 + bound) of the exact value
         # (Higham, Accuracy and Stability, section 3.1), so they are within twice that of each other.
-        model = model_from_config(_verify_models_configs(seed)[slot])
         eps = np.finfo(float).eps
         for x, y in _density_grids(model):
             grid_x, grid_y = np.meshgrid(x, y, indexing="ij")
@@ -729,7 +741,7 @@ class TestQuadNodesRoundTrip:
 class TestIntegerSampleCounts:
     @pytest.mark.parametrize("count", [2.7, 2.0, True, "3", None])
     def test_non_integer_counts_are_rejected(self, ce_model, count):
-        with pytest.raises(ValueError, match="count must be a positive integer"):
+        with pytest.raises(ValueError, match="count must be an integer,"):
             sample_joint(ce_model, count, 0)
 
     def test_numpy_integers_are_accepted(self, ce_model):
@@ -740,7 +752,7 @@ class TestIntegerSampleCounts:
 class TestSampleSeeds:
     @pytest.mark.parametrize("seed", [True, False, -1, 2.0, "3", None, [1, 2]])
     def test_non_integer_or_negative_seeds_are_rejected(self, ce_model, seed):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="seed must be (an integer,|at least 0,)"):
             sample_joint(ce_model, 5, seed)
 
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1)], ids=["int64", "uint64-max"])
@@ -749,39 +761,90 @@ class TestSampleSeeds:
         assert samples.tobytes() == sample_joint(ce_model, 5, int(seed)).tobytes()
 
 
-# Each entry point that takes a count, and a valid count for it. Every one
-# rejects a count that int() would turn into a valid one.
+def _quadratic_config(count):
+    uniform = {"kind": "uniform", "support": [0.0, 1.0]}
+    return {"marginal_x": uniform, "marginal_y": uniform, "rho_builder": {"type": "quadratic", "N": count}}
+
+
+# Each entry point that takes a count, a valid count for it, and the field its
+# error names. Every one rejects a count that int() would turn into a valid one.
 COUNT_ENTRY_POINTS = {
-    "build_system-max_degree": (lambda m, u, count: build_system(u, count), 2),
-    "build_system-quad_nodes": (lambda m, u, count: build_system(u, 4, count), 64),
-    "build_model-max_degree": (lambda m, u, count: build_model(u, u, (0.05,), max_degree=count), 8),
-    "build_model-quad_nodes": (lambda m, u, count: build_model(u, u, (0.05,), quad_nodes=count), 128),
-    "discretize_model": (lambda m, u, count: discretize_model(m, count), 16),
+    "gauss_legendre_rule": (lambda m, u, count: gauss_legendre_rule(count, 0.0, 1.0), 8, "node count n"),
+    "composite_gauss_legendre": (
+        lambda m, u, count: composite_gauss_legendre((0.0, 0.5, 1.0), count),
+        4,
+        "nodes_per_segment",
+    ),
+    "rule_size": (lambda m, u, count: u.rule_size(count), 130, "n_nodes"),
+    "quadrature_rule": (lambda m, u, count: u.quadrature_rule(count), 130, "n_nodes"),
+    "measure": (lambda m, u, count: u.measure(count), 130, "n_nodes"),
+    "build_system-max_degree": (lambda m, u, count: build_system(u, count), 2, "max_degree"),
+    "build_system-quad_nodes": (lambda m, u, count: build_system(u, 4, count), 64, "quad_nodes"),
+    "evaluate": (lambda m, u, count: m.system_x.evaluate(count, 0.5), 1, "degree"),
+    "evaluate_all": (lambda m, u, count: m.system_x.evaluate_all(0.5, upto=count), 2, "degree"),
+    "monomial_coefficients": (lambda m, u, count: m.system_x.monomial_coefficients(count), 2, "degree"),
+    "build_model-max_degree": (
+        lambda m, u, count: build_model(u, u, (0.05,), max_degree=count),
+        8,
+        "'max_degree'",
+    ),
+    "build_model-quad_nodes": (
+        lambda m, u, count: build_model(u, u, (0.05,), quad_nodes=count),
+        128,
+        "'quad_nodes'",
+    ),
+    "model_from_config-N": (lambda m, u, count: model_from_config(_quadratic_config(count)), 2, "'N'"),
+    "discretize_model": (lambda m, u, count: discretize_model(m, count), 16, "nodes_per_axis"),
+    "fixture-joint": (lambda m, u, count: resolve_fixture("disc").joint(count), 16, "nodes_per_axis"),
     "build_sequence_quadratic": (
         lambda m, u, count: build_sequence_quadratic(UNIFORM_SUPS, UNIFORM_SUPS, count),
         2,
+        "count",
     ),
     "build_sequence_linear": (
         lambda m, u, count: build_sequence_linear(UNIFORM_SUPS, UNIFORM_SUPS, count, 1e-3),
         2,
+        "count",
     ),
-    "maxcorr_ace": (lambda m, u, count: maxcorr_ace(discretize_model(m, 32), max_iters=count), 50),
+    "sample_joint-count": (lambda m, u, count: sample_joint(m, count, 0), 5, "count"),
+    "sample_joint-seed": (lambda m, u, count: sample_joint(m, 5, count), 3, "seed"),
+    "maxcorr_ace": (
+        lambda m, u, count: maxcorr_ace(discretize_model(m, 32), max_iters=count),
+        50,
+        "max_iters",
+    ),
+    "check_eigen_regression": (lambda m, u, count: check_eigen_regression(m, count), 2, "degree n"),
+    "check_polynomial_regression": (
+        lambda m, u, count: check_polynomial_regression(m, count),
+        2,
+        "degree n",
+    ),
 }
+
+# Entry points whose count defaults to None: the top degree, the fixture's default grid.
+NONE_MEANS_DEFAULT = {"evaluate_all", "monomial_coefficients", "fixture-joint"}
 
 
 class TestIntegerCountsAtEveryEntryPoint:
     @pytest.mark.parametrize(
         "make_bad",
-        [lambda n: n + 0.5, lambda n: np.float64(n), lambda n: True],
-        ids=["float", "np.float64", "bool"],
+        [lambda n: n + 0.5, lambda n: np.float64(n), lambda n: True, lambda n: str(n)],
+        ids=["float", "np.float64", "bool", "str"],
     )
     @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
     def test_non_integer_counts_are_rejected(self, ce_model, uniform01, entry, make_bad):
-        call, valid = COUNT_ENTRY_POINTS[entry]
-        with pytest.raises(ValueError, match="must be an integer"):
+        call, valid, field = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got")):
             call(ce_model, uniform01, make_bad(valid))
+
+    @pytest.mark.parametrize("entry", sorted(set(COUNT_ENTRY_POINTS) - NONE_MEANS_DEFAULT))
+    def test_none_is_rejected_where_it_is_no_default(self, ce_model, uniform01, entry):
+        call, _, field = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got None")):
+            call(ce_model, uniform01, None)
 
     @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
     def test_numpy_integers_are_accepted(self, ce_model, uniform01, entry):
-        call, valid = COUNT_ENTRY_POINTS[entry]
-        call(ce_model, uniform01, np.int64(valid))
+        call, valid, _ = COUNT_ENTRY_POINTS[entry]
+        for numpy_type in (np.int64, np.uint16):
+            call(ce_model, uniform01, numpy_type(valid))

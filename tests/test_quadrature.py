@@ -9,6 +9,7 @@ from lancaster_lab import cli
 from lancaster_lab.correlation import discretize_joint
 from lancaster_lab.quadrature import (
     QuadratureRule,
+    _count,
     _reference_rule,
     _values_on,
     composite_gauss_legendre,
@@ -17,6 +18,34 @@ from lancaster_lab.quadrature import (
     integrate_2d,
 )
 from lancaster_lab.regression import conditional_expectation
+
+
+class TestCount:
+    @pytest.mark.parametrize(
+        "value", [3, np.int64(3), np.uint64(3), np.int8(3)], ids=["int", "int64", "uint64", "int8"]
+    )
+    def test_integers_are_read_as_plain_ints(self, value):
+        count = _count(value, "n", 1, 3)
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.bool_(True), 3.0, np.float64(3.0), 2.5, "3", None, [3], np.array(3)],
+        ids=["bool", "np.bool_", "float", "np.float64", "fraction", "str", "None", "list", "0-d array"],
+    )
+    def test_anything_but_an_integer_is_rejected_naming_the_field(self, value):
+        with pytest.raises(ValueError, match=r"^widgets must be an integer, got "):
+            _count(value, "widgets", 0)
+
+    def test_the_bounds_are_inclusive(self):
+        assert _count(2, "n", 2, 5) == 2 and _count(5, "n", 2, 5) == 5
+        with pytest.raises(ValueError, match=r"^n must be at least 2, got 1$"):
+            _count(1, "n", 2, 5)
+        with pytest.raises(ValueError, match=r"^n must be at most 5, got 6$"):
+            _count(np.int64(6), "n", 2, 5)
+
+    def test_no_upper_bound_without_high(self):
+        assert _count(2**70, "seed", 0) == 2**70
 
 
 class TestGaussLegendreRule:
