@@ -43,7 +43,7 @@ from .correlation import (
     SpectralFailureError,
     correlation_report,
     discretize_model,
-    maxcorr_svd,
+    maxcorr_decomposition,
 )
 from .fixtures import BENCH_FIXTURES, resolve_fixture
 from .lancaster import (
@@ -297,7 +297,7 @@ def _cmd_maxcorr(config: RunConfig) -> int:
         joint = discretize_model(model, config.grid or DEFAULT_MODEL_GRID)
     else:
         joint = fixture.joint(config.grid)
-    result = maxcorr_svd(joint)
+    result = maxcorr_decomposition(joint)
     if config.format == "json":
         document = {
             "R": result.R,

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lancaster import LancasterModel
-from .quadrature import _MAX_AXIS_NODES, _count, _values_on, gauss_legendre_rule
+from .quadrature import _MAX_AXIS_NODES, _count, _real, _reals, _values_on, gauss_legendre_rule
 
 __all__ = [
     "DiscretizedJoint",
@@ -41,6 +41,7 @@ __all__ = [
     "pearson",
     "maxcorr_analytic",
     "maxcorr_svd",
+    "maxcorr_decomposition",
     "maxcorr_ace",
     "maxcorr_discrete_pmf",
     "singular_spectrum",
@@ -142,9 +143,9 @@ def discretize_joint(
     1e-12 are dropped. ``nodes_per_axis`` runs from 16 to 2048.
     """
     nodes_per_axis = _count(nodes_per_axis, "nodes_per_axis", MIN_GRID, _MAX_AXIS_NODES)
-    (ax, bx), (ay, by) = support
-    rule_x = gauss_legendre_rule(nodes_per_axis, float(ax), float(bx))
-    rule_y = gauss_legendre_rule(nodes_per_axis, float(ay), float(by))
+    (ax, bx), (ay, by) = (_reals(bounds, "support") for bounds in support)
+    rule_x = gauss_legendre_rule(nodes_per_axis, ax, bx)
+    rule_y = gauss_legendre_rule(nodes_per_axis, ay, by)
     values = _values_on(density, rule_x.nodes, rule_y.nodes)
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError("density must be finite and nonnegative on the grid")
@@ -255,9 +256,15 @@ def _orient_pair(g1, g2, joint: DiscretizedJoint):
 
 class SvdResult(NamedTuple):
     R: float
-    g1_values: np.ndarray | None
-    g2_values: np.ndarray | None
-    spectrum: np.ndarray | None
+    g1_values: np.ndarray
+    g2_values: np.ndarray
+    spectrum: np.ndarray
+
+
+def _checked_kernel(joint: DiscretizedJoint) -> np.ndarray:
+    if joint.x_nodes.size < 2 or joint.y_nodes.size < 2:
+        raise ValueError("need at least two retained nodes per axis")
+    return _kernel_matrix(joint)
 
 
 def singular_spectrum(joint: DiscretizedJoint) -> np.ndarray:
@@ -307,51 +314,48 @@ def _lanczos_sigma2(kernel: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
     return None
 
 
-def maxcorr_svd(joint: DiscretizedJoint, vectors: bool = True, lower_bound: float = 0.0) -> SvdResult:
-    """Maximal correlation as the second singular value of the normalized kernel.
+def maxcorr_svd(joint: DiscretizedJoint, lower_bound: float = 0.0) -> float:
+    """Maximal correlation R alone, the second singular value of the normalized kernel K.
 
-    ``vectors`` serves the two callers with different needs.
-
-    With ``vectors=True`` (the ``maxcorr`` command) one full decomposition of
-    K gives R, the optimizers and every singular value, descending. The
-    largest belongs to the constants and must equal 1; a deviation beyond
-    1e-6 signals a broken discretization and raises SpectralFailureError.
-    The optimizers are function samples with zero weighted mean and unit
-    weighted variance.
-
-    With ``vectors=False`` (``correlation_report``) only R is computed, and
-    ``g1_values``, ``g2_values`` and ``spectrum`` are None. The constant pair
-    is known exactly, K sqrt(q) = sqrt(p) and K^T sqrt(p) = sqrt(q), so it is
-    checked directly: a defect beyond 1e-6 raises SpectralFailureError. R is
-    then the norm of the deflated kernel D = K - a b^T (a, b the unit
-    vectors along sqrt(p), sqrt(q)), found by Golub-Kahan-Lanczos. Why the
-    value is the largest singular value of D: a Ritz value never exceeds
-    sigma_max(D), and a converged residual puts it within 1e-15 of some
-    singular value of D. The only way to be wrong is to converge to a lower
-    one. ``lower_bound`` is a known lower bound on R, such as ACE's estimate
-    g1^T P g2: with standardized mean-zero g1, g2 that is a Rayleigh quotient
-    of D and so never above sigma_max(D). If it exceeds the Lanczos value by
-    more than 1e-12, Lanczos missed the top value. That case, and hitting
-    the step cap without converging, take R from ``singular_spectrum``.
+    ``maxcorr_decomposition`` gives the optimizers and the spectrum too. The
+    constant pair is known exactly, K sqrt(q) = sqrt(p) and K^T sqrt(p) =
+    sqrt(q), so it is checked directly: a defect beyond 1e-6 raises
+    SpectralFailureError. R is then the norm of the deflated kernel
+    D = K - a b^T (a, b the unit vectors along sqrt(p), sqrt(q)), found by
+    Golub-Kahan-Lanczos. Why the value is the largest singular value of D: a
+    Ritz value never exceeds sigma_max(D), and a converged residual puts it
+    within 1e-15 of some singular value of D. The only way to be wrong is to
+    converge to a lower one. ``lower_bound`` is a known lower bound on R, such
+    as ACE's estimate g1^T P g2: with standardized mean-zero g1, g2 that is a
+    Rayleigh quotient of D and so never above sigma_max(D). If it exceeds the
+    Lanczos value by more than 1e-12, Lanczos missed the top value. That
+    case, and hitting the step cap without converging, take R from
+    ``singular_spectrum``.
     """
-    if joint.x_nodes.size < 2 or joint.y_nodes.size < 2:
-        raise ValueError("need at least two retained nodes per axis")
-    kernel = _kernel_matrix(joint)
-    if not vectors:
-        left, right = np.sqrt(joint.marginal_x), np.sqrt(joint.marginal_y)
-        defect = max(
-            float(np.linalg.norm(kernel @ right - left)), float(np.linalg.norm(kernel.T @ left - right))
+    lower_bound = _real(lower_bound, "lower_bound")
+    kernel = _checked_kernel(joint)
+    left, right = np.sqrt(joint.marginal_x), np.sqrt(joint.marginal_y)
+    defect = max(float(np.linalg.norm(kernel @ right - left)), float(np.linalg.norm(kernel.T @ left - right)))
+    if not defect <= 1e-6:
+        raise SpectralFailureError(
+            f"spectral-failure: the constants are off the kernel's leading pair by {defect!r},"
+            " expected at most 1e-06; the discretization is inconsistent"
         )
-        if not defect <= 1e-6:
-            raise SpectralFailureError(
-                f"spectral-failure: the constants are off the kernel's leading pair by {defect!r},"
-                " expected at most 1e-06; the discretization is inconsistent"
-            )
-        R = _lanczos_sigma2(kernel, left / np.linalg.norm(left), right / np.linalg.norm(right))
-        if R is None or lower_bound > R + _LANCZOS_SLACK:
-            R = float(singular_spectrum(joint)[1])
-        return SvdResult(R=R, g1_values=None, g2_values=None, spectrum=None)
-    left, spectrum, right_t = np.linalg.svd(kernel, full_matrices=False)
+    R = _lanczos_sigma2(kernel, left / np.linalg.norm(left), right / np.linalg.norm(right))
+    if R is None or lower_bound > R + _LANCZOS_SLACK:
+        R = float(singular_spectrum(joint)[1])
+    return R
+
+
+def maxcorr_decomposition(joint: DiscretizedJoint) -> SvdResult:
+    """R, the optimizers and every singular value, from one full SVD of the kernel.
+
+    The singular values come descending. The largest belongs to the constants
+    and must equal 1; a deviation beyond 1e-6 signals a broken discretization
+    and raises SpectralFailureError. The optimizers are function samples with
+    zero weighted mean and unit weighted variance, oriented by ``_orient_pair``.
+    """
+    left, spectrum, right_t = np.linalg.svd(_checked_kernel(joint), full_matrices=False)
     if abs(spectrum[0] - 1.0) > 1e-6:
         raise SpectralFailureError(
             f"spectral-failure: leading singular value is {spectrum[0]!r}, expected 1"
@@ -410,6 +414,7 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 2000, tol: float = 1e-
     conditional mean with (numerically) zero variance means the operator
     annihilates mean-zero functions, so the maximal correlation is 0.
     """
+    tol = _real(tol, "tol")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     max_iters = _count(max_iters, "max_iters", 1)
@@ -445,8 +450,9 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 2000, tol: float = 1e-
 def maxcorr_discrete_pmf(pmf) -> float:
     """Maximal correlation of a finite pmf matrix.
 
-    The kernel SVD of ``joint_from_pmf(pmf)``: the second singular value of
-    Q_ij = p_ij / sqrt(p_i+ p_+j) after trimming zero rows and columns.
+    ``maxcorr_svd`` of ``joint_from_pmf(pmf)``: the second singular value of
+    Q_ij = p_ij / sqrt(p_i+ p_+j) after trimming zero rows and columns, with
+    no singular vectors computed.
     Undefined (degenerate-pmf) when either margin has a single support point.
     """
     p = np.asarray(pmf, dtype=float)
@@ -459,7 +465,7 @@ def maxcorr_discrete_pmf(pmf) -> float:
             "degenerate-pmf: a margin has a single support point, so maximal"
             " correlation is undefined"
         )
-    return maxcorr_svd(joint).R
+    return maxcorr_svd(joint)
 
 
 # -- closed-form route and combined report -----------------------------------
@@ -490,31 +496,30 @@ def correlation_report(
 
     The closed-form value is included when a model is supplied. Nothing here
     reads the optimizing transformations or the spectrum, so R_svd comes from
-    the values-only route (``maxcorr_svd(joint, vectors=False)``): Lanczos on
-    the deflated kernel, with ACE's estimate, computed first, as its lower
-    bound. Raises
+    ``maxcorr_svd``, not ``maxcorr_decomposition``: Lanczos on the deflated
+    kernel, with ACE's estimate, computed first, as its lower bound. Raises
     SpectralFailureError when the estimates violate structural guarantees
     (values outside [0, 1], or below |pearson| beyond oracle error: linear
     functions are always admissible transformations).
     """
     rho = pearson(joint)
     ace = maxcorr_ace(joint, tol=ace_tol)
-    svd = maxcorr_svd(joint, vectors=False, lower_bound=ace.R)
+    svd = maxcorr_svd(joint, lower_bound=ace.R)
     analytic = maxcorr_analytic(model) if model is not None else None
-    for label, value in (("svd", svd.R), ("ace", ace.R)):
+    for label, value in (("svd", svd), ("ace", ace.R)):
         if not -1e-9 <= value <= 1.0 + 1e-9:
             raise SpectralFailureError(
                 f"spectral-failure: maximal-correlation estimate ({label}) is {value!r}"
             )
-    if svd.R < abs(rho) - 2e-3:
+    if svd < abs(rho) - 2e-3:
         raise SpectralFailureError(
-            f"spectral-failure: maximal correlation {svd.R!r} fell below |pearson|"
+            f"spectral-failure: maximal correlation {svd!r} fell below |pearson|"
             f" {abs(rho)!r}; the discretization is inconsistent"
         )
     return CorrelationReport(
         pearson=rho,
         maxcorr_analytic=analytic,
-        maxcorr_svd=svd.R,
+        maxcorr_svd=svd,
         maxcorr_ace=ace.R,
-        gap=svd.R - abs(rho),
+        gap=svd - abs(rho),
     )

@@ -100,8 +100,8 @@ class CoefficientSequence:
 
 
 def _sup_norm_slices(c, d, count: int) -> tuple[np.ndarray, np.ndarray]:
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
+    c = np.asarray(_reals(c, "c"))
+    d = np.asarray(_reals(d, "d"))
     if c.size < count or d.size < count:
         raise ValueError(
             "need one sup-norm constant per coefficient on each side"
@@ -195,22 +195,14 @@ class LancasterModel:
     def density(self, x, y):
         """Joint density; zero outside the support rectangle.
 
-        On an open tensor grid the series factor's (n, m) array is scaled by
-        f1 and f2 and clamped in place.
+        For every shape of x and y the series factor's array is scaled in
+        place by f1, then by f2, and clamped; 0-d input gives a float.
         """
-        ax = np.asarray(x, dtype=float)
-        ay = np.asarray(y, dtype=float)
-        fx = self.marginal_x.density(ax)
-        fy = self.marginal_y.density(ay)
-        if _is_open_grid(ax, ay):
-            value = self.series_factor(ax, ay)
-            value *= fx
-            value *= fy
-            np.copyto(value, 0.0, where=(value < 0.0) & (value > -_NEGATIVE_CLAMP))
-            return value
-        value = fx * fy * self.series_factor(ax, ay)
-        value = np.where((value < 0.0) & (value > -_NEGATIVE_CLAMP), 0.0, value)
-        return value if (ax.ndim or ay.ndim) else float(value)
+        value = np.asarray(self.series_factor(x, y))
+        value *= self.marginal_x.density(x)
+        value *= self.marginal_y.density(y)
+        np.copyto(value, 0.0, where=(value < 0.0) & (value > -_NEGATIVE_CLAMP))
+        return value if value.ndim else float(value)
 
 
 def _is_open_grid(x: np.ndarray, y: np.ndarray) -> bool:

@@ -153,15 +153,16 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     The reference rules of the 64 most recently used node counts are kept.
     """
     n = _count(n, "invalid-order: node count n", 1)
+    a, b = _real(a, "invalid-interval: a"), _real(b, "invalid-interval: b")
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise ValueError(f"invalid-interval: need finite a < b, got [{a!r}, {b!r}]")
-    if not math.isfinite(float(b) - float(a)):
+    if not math.isfinite(b - a):
         raise ValueError(f"invalid-interval: the width b - a overflows, got [{a!r}, {b!r}]")
 
     ref_nodes, ref_weights = _reference_rule(n)
     mid = 0.5 * a + 0.5 * b  # a + b can overflow where the width does not
     half = 0.5 * (b - a)
-    return QuadratureRule(mid + half * ref_nodes, half * ref_weights, (float(a), float(b)))
+    return QuadratureRule(mid + half * ref_nodes, half * ref_weights, (a, b))
 
 
 def composite_gauss_legendre(breakpoints: Sequence[float], nodes_per_segment: int) -> QuadratureRule:
@@ -171,8 +172,8 @@ def composite_gauss_legendre(breakpoints: Sequence[float], nodes_per_segment: in
     2 * nodes_per_segment - 1), which is what piecewise-linear densities need.
     """
     nodes_per_segment = _count(nodes_per_segment, "invalid-order: nodes_per_segment", 1)
-    pts = np.asarray(breakpoints, dtype=float)
-    if pts.ndim != 1 or pts.size < 2 or not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
+    pts = np.asarray(_reals(breakpoints, "invalid-interval: breakpoints"))
+    if pts.size < 2 or not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
         raise ValueError("invalid-interval: breakpoints must be finite and strictly increasing")
     parts = [gauss_legendre_rule(nodes_per_segment, lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]
     nodes = np.concatenate([p.nodes for p in parts])

@@ -38,8 +38,8 @@ def series_factor_pointwise(model, x, y):
 
 
 def density_pointwise(model, x, y):
-    """f1(x) f2(y) times ``series_factor_pointwise``, with values in (-1e-12, 0) set to 0."""
-    value = model.marginal_x.density(x) * model.marginal_y.density(y) * series_factor_pointwise(model, x, y)
+    """``series_factor_pointwise`` times f1(x), then times f2(y), with values in (-1e-12, 0) set to 0."""
+    value = series_factor_pointwise(model, x, y) * model.marginal_x.density(x) * model.marginal_y.density(y)
     return np.where((value < 0.0) & (value > -1e-12), 0.0, value)
 
 

@@ -43,7 +43,7 @@ def test_criterion_1_counterexample_reproduction(ce_model):
     joint = discretize_model(ce_model, 200)
     rho = pearson(joint)
     analytic = maxcorr_analytic(ce_model)
-    svd = maxcorr_svd(joint).R
+    svd = maxcorr_svd(joint)
     ace = maxcorr_ace(joint).R
     linear = check_linear_regression(ce_model)
     gap = svd - abs(rho)
@@ -80,7 +80,7 @@ def test_criterion_2_uniform_disc():
     started = time.perf_counter()
     fixture = resolve_fixture("disc")
     joint = fixture.joint(400)
-    svd = maxcorr_svd(joint).R
+    svd = maxcorr_svd(joint)
     rho = pearson(joint)
     elapsed = time.perf_counter() - started
     ok = abs(svd - 1.0 / 3.0) <= 0.01 and abs(rho) <= 1e-4 and elapsed < 60.0
@@ -91,8 +91,8 @@ def test_criterion_2_uniform_disc():
 
 
 def test_criterion_3_p_ball():
-    diamond = maxcorr_svd(resolve_fixture("pball:1").joint()).R
-    disc_via_pball = maxcorr_svd(resolve_fixture("pball:2").joint()).R
+    diamond = maxcorr_svd(resolve_fixture("pball:1").joint())
+    disc_via_pball = maxcorr_svd(resolve_fixture("pball:2").joint())
     ok = abs(diamond - 0.5) <= 0.01 and abs(disc_via_pball - 1.0 / 3.0) <= 0.01
     _report(3, "p-ball R = 1/(p+1)", ok, f"p=1: {diamond:.6f}, p=2: {disc_via_pball:.6f}")
     assert abs(diamond - 0.5) <= 0.01
@@ -109,7 +109,7 @@ def test_criterion_4_four_point_lattice():
 def test_criterion_5_equality_when_maximum_is_at_degree_one(swapped_model):
     joint = discretize_model(swapped_model, 200)
     rho = pearson(joint)
-    svd = maxcorr_svd(joint).R
+    svd = maxcorr_svd(joint)
     ok = abs(svd - abs(rho)) <= 2e-3
     _report(5, "R equals |pearson| when sup at n=1", ok, f"R_svd={svd:.8f} |pearson|={abs(rho):.8f}")
     assert abs(svd - abs(rho)) <= 2e-3
@@ -120,7 +120,7 @@ def test_criterion_6_trivial_regression_with_positive_R(trivial_regression_model
     linear = check_linear_regression(model)
     joint = discretize_model(model, 200)
     rho = pearson(joint)
-    svd = maxcorr_svd(joint).R
+    svd = maxcorr_svd(joint)
     ok = (
         abs(linear.a1) <= 1e-8
         and abs(linear.b1) <= 1e-8

@@ -15,6 +15,7 @@ from lancaster_lab.correlation import (
     maxcorr_ace,
     maxcorr_analytic,
     maxcorr_discrete_pmf,
+    maxcorr_decomposition,
     maxcorr_svd,
     pearson,
     singular_spectrum,
@@ -165,14 +166,14 @@ class TestPearson:
 
 class TestMaxcorrSvd:
     def test_disc_value(self, disc_joint):
-        assert maxcorr_svd(disc_joint).R == pytest.approx(1.0 / 3.0, abs=0.01)
+        assert maxcorr_svd(disc_joint) == pytest.approx(1.0 / 3.0, abs=0.01)
 
     def test_diamond_value(self):
         joint = discretize_joint(diamond_density, UNIT_BOX, 400)
-        assert maxcorr_svd(joint).R == pytest.approx(0.5, abs=0.01)
+        assert maxcorr_svd(joint) == pytest.approx(0.5, abs=0.01)
 
     def test_expansion_model_value_and_spectrum(self, ce_joint):
-        result = maxcorr_svd(ce_joint)
+        result = maxcorr_decomposition(ce_joint)
         assert result.R == pytest.approx(0.15, abs=1e-3)
         spectrum = singular_spectrum(ce_joint)
         np.testing.assert_allclose(spectrum[:3], [1.0, 0.15, 0.05], atol=1e-3)
@@ -183,7 +184,7 @@ class TestMaxcorrSvd:
             assert singular_spectrum(joint)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_optimizers_are_standardized(self, ce_joint):
-        result = maxcorr_svd(ce_joint)
+        result = maxcorr_decomposition(ce_joint)
         p = ce_joint.marginal_x
         assert float(p @ result.g1_values) == pytest.approx(0.0, abs=1e-9)
         assert float(p @ result.g1_values**2) == pytest.approx(1.0, rel=1e-9)
@@ -199,13 +200,13 @@ class TestMaxcorrSvd:
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "svd", leading_value_off_one)
             with pytest.raises(SpectralFailureError, match="spectral-failure"):
-                maxcorr_svd(ce_joint, vectors=True)
+                maxcorr_decomposition(ce_joint)
 
         # the values-only route checks the constant pair K sqrt(q) = sqrt(p) itself
         kernel_matrix = correlation._kernel_matrix
         monkeypatch.setattr(correlation, "_kernel_matrix", lambda joint: kernel_matrix(joint) * (1.0 + 1e-3))
         with pytest.raises(SpectralFailureError, match="spectral-failure: the constants are off"):
-            maxcorr_svd(ce_joint, vectors=False)
+            maxcorr_svd(ce_joint)
 
 
 class TestMaxcorrAce:
@@ -218,7 +219,7 @@ class TestMaxcorrAce:
     def test_matches_svd_on_the_expansion_model(self, ce_joint):
         result = maxcorr_ace(ce_joint, tol=1e-9)
         assert result.R == pytest.approx(0.15, abs=1e-3)
-        assert abs(result.R - maxcorr_svd(ce_joint).R) <= 1e-6
+        assert abs(result.R - maxcorr_svd(ce_joint)) <= 1e-6
 
     def test_optimizer_aligns_with_the_top_polynomial(self, ce_model, ce_joint):
         result = maxcorr_ace(ce_joint, tol=1e-12)
@@ -347,19 +348,19 @@ class TestMaxcorrDiscretePmf:
 class TestStructuralProperties:
     def test_dominance_over_pearson(self, ce_joint, disc_joint):
         for joint in (ce_joint, disc_joint):
-            assert maxcorr_svd(joint).R >= abs(pearson(joint)) - 2e-3
+            assert maxcorr_svd(joint) >= abs(pearson(joint)) - 2e-3
 
     @given(scale=st.floats(0.1, 10.0), shift=st.floats(-5.0, 5.0))
     @settings(max_examples=25)
     def test_invariant_under_affine_node_rescaling(self, ce_model, scale, shift):
         base = discretize_model(ce_model, 48)
         rescaled = DiscretizedJoint(scale * base.x_nodes + shift, base.y_nodes, base.masses)
-        assert maxcorr_svd(rescaled).R == pytest.approx(maxcorr_svd(base).R, abs=1e-9)
+        assert maxcorr_svd(rescaled) == pytest.approx(maxcorr_svd(base), abs=1e-9)
         assert pearson(rescaled) == pytest.approx(pearson(base), abs=1e-9)
 
     def test_estimates_live_in_the_unit_interval(self, ce_joint, disc_joint):
         for joint in (ce_joint, disc_joint):
-            for value in (maxcorr_svd(joint).R, maxcorr_ace(joint).R):
+            for value in (maxcorr_svd(joint), maxcorr_ace(joint).R):
                 assert -1e-9 <= value <= 1.0 + 1e-9
 
 
@@ -394,10 +395,9 @@ class TestValuesOnlySvd:
 
     def test_values_only_result_has_no_vectors_and_no_spectrum(self, bench_joints, ce_joint):
         for joint in (*bench_joints.values(), ce_joint):
-            result = maxcorr_svd(joint, vectors=False)
-            assert result.g1_values is None and result.g2_values is None
-            assert result.spectrum is None
-            assert abs(result.R - float(singular_spectrum(joint)[1])) <= 1e-15
+            result = maxcorr_svd(joint)
+            assert type(result) is float
+            assert abs(result - float(singular_spectrum(joint)[1])) <= 1e-15
 
 
 class TestLanczosRoute:
@@ -428,7 +428,7 @@ class TestLanczosRoute:
             pmf = rng.random(shape) ** 3
             joint = joint_from_pmf(pmf / pmf.sum())
             reference = float(singular_spectrum(joint)[1])
-            assert abs(maxcorr_svd(joint, vectors=False).R - reference) <= 1e-15, shape
+            assert abs(maxcorr_svd(joint) - reference) <= 1e-15, shape
 
     @pytest.mark.parametrize(
         "rho",
@@ -438,7 +438,7 @@ class TestLanczosRoute:
     def test_models_agree_with_the_full_spectrum(self, uniform01, no_fallback, rho):
         joint = discretize_model(build_model(uniform01, uniform01, rho), 200)
         reference = float(singular_spectrum(joint)[1])
-        assert abs(maxcorr_svd(joint, vectors=False).R - reference) <= 1e-15
+        assert abs(maxcorr_svd(joint) - reference) <= 1e-15
 
     def test_an_exhausted_krylov_space_stops_at_once(self):
         # D = -e1 e1^T annihilates every start vector orthogonal to e1: alpha_1 is exactly 0
@@ -447,16 +447,16 @@ class TestLanczosRoute:
 
     def test_step_cap_without_convergence_falls_back(self, disc_joint, fallbacks, monkeypatch):
         monkeypatch.setattr(correlation, "_LANCZOS_MAX_STEPS", 3)
-        result = maxcorr_svd(disc_joint, vectors=False)
+        result = maxcorr_svd(disc_joint)
         assert len(fallbacks) == 1
-        assert result.R == float(singular_spectrum(disc_joint)[1])
+        assert result == float(singular_spectrum(disc_joint)[1])
 
     def test_lower_bound_above_the_lanczos_value_falls_back(self, ce_joint, fallbacks, monkeypatch):
         lanczos = correlation._lanczos_sigma2
         monkeypatch.setattr(correlation, "_lanczos_sigma2", lambda *args: lanczos(*args) - 1e-6)
-        missed = maxcorr_svd(ce_joint, vectors=False)
+        missed = maxcorr_svd(ce_joint)
         assert not fallbacks
         report = correlation_report(ce_joint, ace_tol=1e-12)
         assert len(fallbacks) == 1
         assert report.maxcorr_svd == float(singular_spectrum(ce_joint)[1])
-        assert report.maxcorr_svd - missed.R == pytest.approx(1e-6, abs=1e-12)
+        assert report.maxcorr_svd - missed == pytest.approx(1e-6, abs=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import re
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 import lancaster_lab
 from lancaster_lab import lancaster
-from lancaster_lab.correlation import discretize_model, maxcorr_ace
+from lancaster_lab.correlation import (
+    correlation_report,
+    discretize_joint,
+    discretize_model,
+    joint_from_pmf,
+    maxcorr_ace,
+    maxcorr_svd,
+)
 from lancaster_lab.fixtures import resolve_fixture
 from lancaster_lab.lancaster import (
     BoundViolationError,
@@ -677,7 +685,12 @@ def _density_grids(model):
 
 
 class TestOpenGridDensity:
-    """On an open grid the series is one matrix product; every other shape keeps the term-by-term loop."""
+    """The density's one body on the two routes of ``series_factor``.
+
+    On an open grid the series is one matrix product; every other shape keeps
+    the term-by-term loop. Either way the density scales the series factor by
+    f1, then by f2, and clamps it.
+    """
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("slot", range(4))
@@ -848,3 +861,77 @@ class TestIntegerCountsAtEveryEntryPoint:
         call, valid, _ = COUNT_ENTRY_POINTS[entry]
         for numpy_type in (np.int64, np.uint16):
             call(ce_model, uniform01, numpy_type(valid))
+
+
+# A 2 x 2 law with maximal correlation 0.2, for the entry points that take a joint.
+SMALL_JOINT = joint_from_pmf([[0.3, 0.2], [0.2, 0.3]])
+
+# Each entry point that takes a real number, a valid value for it, and the field
+# its error names.
+REAL_ENTRY_POINTS = {
+    "maxcorr_ace-tol": (lambda value: maxcorr_ace(SMALL_JOINT, tol=value), 1e-9, "tol"),
+    "correlation_report-ace_tol": (lambda value: correlation_report(SMALL_JOINT, ace_tol=value), 1e-9, "tol"),
+    "maxcorr_svd-lower_bound": (lambda value: maxcorr_svd(SMALL_JOINT, lower_bound=value), 0.0, "lower_bound"),
+    "gauss_legendre_rule-a": (lambda value: gauss_legendre_rule(8, value, 2.0), 0.0, "invalid-interval: a"),
+    "gauss_legendre_rule-b": (lambda value: gauss_legendre_rule(8, 0.0, value), 1.0, "invalid-interval: b"),
+    "composite_gauss_legendre": (
+        lambda value: composite_gauss_legendre((0.0, value, 2.0), 4),
+        0.5,
+        "invalid-interval: breakpoints",
+    ),
+    "discretize_joint-support": (
+        lambda value: discretize_joint(lambda x, y: 1.0, ((0.0, value), (0.0, 1.0)), 16),
+        1.0,
+        "support",
+    ),
+    "validate_coefficients-c": (lambda value: validate_coefficients([0.1], [value, 1.0], [1.0, 1.0]), 2.0, "c"),
+    "validate_coefficients-d": (lambda value: validate_coefficients([0.1], [1.0, 1.0], [value, 1.0]), 2.0, "d"),
+}
+
+
+class TestRealNumbersAtEveryEntryPoint:
+    @pytest.mark.parametrize("bad", ["x", True, None], ids=["str", "bool", "None"])
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+    def test_non_real_values_are_rejected(self, entry, bad):
+        call, _, field = REAL_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a real number, got {bad!r}")):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+    def test_numpy_reals_are_accepted(self, entry):
+        call, valid, _ = REAL_ENTRY_POINTS[entry]
+        for numpy_type in (np.float64, np.float32):
+            call(numpy_type(valid))
+        if float(valid).is_integer():
+            call(np.int64(valid))
+
+
+def _parseval_sum(model):
+    """Tensor quadrature of f^2 / (f1 f2) on the model's own rules, over the nodes where f1 f2 > 0."""
+    rule_x, rule_y = model.rule_x, model.rule_y
+    f1 = model.marginal_x.density(rule_x.nodes)
+    f2 = model.marginal_y.density(rule_y.nodes)
+    keep_x, keep_y = f1 > 0.0, f2 > 0.0
+    f = _values_on(model.density, rule_x.nodes[keep_x], rule_y.nodes[keep_y])
+    return float(rule_x.weights[keep_x] @ (f * f / np.outer(f1[keep_x], f2[keep_y])) @ rule_y.weights[keep_y])
+
+
+class TestParseval:
+    """The integral of f^2 / (f1 f2) is 1 + sum rho_n^2 (Lancaster 1958), apart from the SVD and the sup norms."""
+
+    GATE = 1e-13  # the worst error over the 80 verify-models configs of seeds 1-20 is 1.8e-15
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_the_squared_density_integrates_to_one_plus_the_squared_coefficients(self, seed):
+        for cfg in _verify_models_configs(seed):
+            model = model_from_config(cfg)
+            expected = 1.0 + float(np.sum(np.square(model.coeffs.rho)))
+            assert abs(_parseval_sum(model) - expected) <= self.GATE
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_coefficients_scaled_by_one_percent_miss_the_sum(self, seed):
+        for cfg in _verify_models_configs(seed):
+            model = model_from_config(cfg)
+            expected = 1.0 + float(np.sum(np.square(model.coeffs.rho)))
+            scaled = dataclasses.replace(model.coeffs, rho=tuple(1.01 * r for r in model.coeffs.rho))
+            assert abs(_parseval_sum(dataclasses.replace(model, coeffs=scaled)) - expected) > self.GATE
