@@ -258,7 +258,7 @@ def _build_model(marginal_x, marginal_y, count, coefficients, max_degree, quad_n
                 f" (a table's rule grows with its knots); at most {_MAX_AXIS_NODES} nodes"
             )
     system_x = build_system(marginal_x, max_degree, quad_nodes)
-    system_y = build_system(marginal_y, max_degree, quad_nodes)
+    system_y = system_x if marginal_y == marginal_x else build_system(marginal_y, max_degree, quad_nodes)
     model = LancasterModel(
         marginal_x=marginal_x,
         marginal_y=marginal_y,

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from lancaster_lab.correlation import _ace_start, _standardize
 from lancaster_lab.quadrature import gauss_legendre_rule
 
 
@@ -58,3 +59,29 @@ def discretize_by_index_grid(density, support, nodes_per_axis):
     keep_y = np.sum(masses, axis=0) >= 1e-12 * mass * rule_y.weights
     masses = masses[np.ix_(keep_x, keep_y)]
     return rule_x.nodes[keep_x], rule_y.nodes[keep_y], masses / np.sum(masses)
+
+
+def ace_three_products(joint, max_iters=2000, tol=1e-9):
+    """ACE as ``correlation.maxcorr_ace`` defines it, with g1 P formed twice a sweep.
+
+    Each sweep takes three products with P: P g2, g1 P for the new g2, and
+    g1 P g2 for the estimate. The start and the standardization are the
+    library's, so the two loops differ only in how often g1 P is formed.
+    Returns (R, iterations), or None past max_iters.
+    """
+    masses, p, q = joint.masses, joint.marginal_x, joint.marginal_y
+    g2 = _ace_start(joint.y_nodes, q)
+    estimate = None
+    for iteration in range(1, max_iters + 1):
+        h1 = masses @ g2 / p
+        h1 = h1 - float(p @ h1) / float(np.sum(p))
+        var1 = float(p @ h1**2)
+        if var1 <= 1e-26:
+            return 0.0, iteration
+        g1 = h1 / np.sqrt(var1 / float(np.sum(p)))
+        g2 = _standardize(g1 @ masses / q, q)
+        new_estimate = float(g1 @ masses @ g2)
+        if estimate is not None and abs(new_estimate - estimate) <= tol:
+            return new_estimate, iteration
+        estimate = new_estimate
+    return None

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lancaster_lab import cli, correlation, model_from_config, sample_joint
+from lancaster_lab import cli, correlation, lancaster, model_from_config, sample_joint
 from lancaster_lab.cli import main
 from lancaster_lab.fixtures import BENCH_FIXTURES
+from lancaster_lab.orthopoly import MarginalSpec
 
 HEADLINE_CONFIG = {
     "marginal_x": {"kind": "uniform", "support": [0, 1]},
@@ -744,9 +745,14 @@ class TestSvdRequests:
 
     @pytest.fixture
     def kernel_svds(self, monkeypatch):
-        """The shapes of the kernels built, and of every np.linalg.svd input shaped like the last one."""
-        record = {"kernels": [], "svds": []}
-        kernel_matrix, svd = correlation._kernel_matrix, np.linalg.svd
+        """The shapes of the joints given to maxcorr_svd, of the kernels formed, and of every
+        np.linalg.svd input shaped like one of those joints."""
+        record = {"joints": [], "kernels": [], "svds": []}
+        maxcorr, kernel_matrix, svd = correlation.maxcorr_svd, correlation._kernel_matrix, np.linalg.svd
+
+        def maxcorr_spy(joint, *args, **kwargs):
+            record["joints"].append(joint.masses.shape)
+            return maxcorr(joint, *args, **kwargs)
 
         def kernel_spy(joint):
             kernel = kernel_matrix(joint)
@@ -754,27 +760,45 @@ class TestSvdRequests:
             return kernel
 
         def svd_spy(matrix, *args, **kwargs):
-            if record["kernels"] and np.shape(matrix) == record["kernels"][-1]:
+            if np.shape(matrix) in record["joints"]:
                 record["svds"].append(np.shape(matrix))
             return svd(matrix, *args, **kwargs)
 
+        monkeypatch.setattr(correlation, "maxcorr_svd", maxcorr_spy)
         monkeypatch.setattr(correlation, "_kernel_matrix", kernel_spy)
         monkeypatch.setattr(np.linalg, "svd", svd_spy)
         return record
 
     def test_bench_never_decomposes_a_kernel(self, kernel_svds, tmp_path):
         assert main(["bench", "--grid", "64", "--out", str(tmp_path / "bench.csv")]) == 0
-        assert len(kernel_svds["kernels"]) == len(BENCH_FIXTURES)
+        assert len(kernel_svds["joints"]) == len(BENCH_FIXTURES)
+        assert kernel_svds["kernels"] == []
         assert kernel_svds["svds"] == []
 
     def test_report_never_decomposes_the_kernel(self, kernel_svds, model_file, tmp_path):
         assert main(["report", "--model", model_file, "--out", str(tmp_path / "r.json")]) == 0
-        assert len(kernel_svds["kernels"]) == 1
+        assert len(kernel_svds["joints"]) == 1
+        assert kernel_svds["kernels"] == []
         assert kernel_svds["svds"] == []
 
     def test_maxcorr_asks_once(self, svd_calls, capsys):
         assert main(["maxcorr", "--fixture", "fgm:0.2", "--grid", "64", "--format", "json"]) == 0
         assert svd_calls == [True]
+
+
+class TestEqualMarginals:
+    def test_report_bytes_match_two_separately_built_systems(self, model_file, tmp_path, monkeypatch):
+        built = []
+        build_system = lancaster.build_system
+        monkeypatch.setattr(lancaster, "build_system", lambda *args: built.append(args) or build_system(*args))
+        shared, separate = tmp_path / "shared.json", tmp_path / "separate.json"
+        assert main(["report", "--model", model_file, "--out", str(shared)]) == 0
+        assert len(built) == 1
+        # with equality by identity the two parsed marginals differ, so each builds its own system
+        monkeypatch.setattr(MarginalSpec, "__eq__", object.__eq__)
+        assert main(["report", "--model", model_file, "--out", str(separate)]) == 0
+        assert len(built) == 3
+        assert shared.read_bytes() == separate.read_bytes()
 
 
 class TestBenchAgreesWithMaxcorr:

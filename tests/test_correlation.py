@@ -22,7 +22,7 @@ from lancaster_lab.correlation import (
 )
 from lancaster_lab.fixtures import BENCH_FIXTURES, _pball_density, resolve_fixture
 from lancaster_lab.quadrature import gauss_legendre_rule
-from reference_routes import discretize_by_index_grid
+from reference_routes import ace_three_products, discretize_by_index_grid
 
 UNIT_BOX = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -203,8 +203,13 @@ class TestMaxcorrSvd:
                 maxcorr_decomposition(ce_joint)
 
         # the values-only route checks the constant pair K sqrt(q) = sqrt(p) itself
-        kernel_matrix = correlation._kernel_matrix
-        monkeypatch.setattr(correlation, "_kernel_matrix", lambda joint: kernel_matrix(joint) * (1.0 + 1e-3))
+        kernel_products = correlation._kernel_products
+
+        def products_off_by_1e_3(*args):
+            apply, apply_t = kernel_products(*args)
+            return (lambda v: apply(v) * (1.0 + 1e-3)), (lambda u: apply_t(u) * (1.0 + 1e-3))
+
+        monkeypatch.setattr(correlation, "_kernel_products", products_off_by_1e_3)
         with pytest.raises(SpectralFailureError, match="spectral-failure: the constants are off"):
             maxcorr_svd(ce_joint)
 
@@ -252,6 +257,17 @@ class TestMaxcorrAce:
         # NaN compares false both ways: `tol <= 0` let it through to no-convergence
         with pytest.raises(ValueError, match="tol must be positive"):
             maxcorr_ace(ce_joint, max_iters=1, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_report_names_its_own_tolerance(self, ce_joint, tol):
+        with pytest.raises(ValueError, match="^ace_tol must be positive"):
+            correlation_report(ce_joint, ace_tol=tol)
+
+    @pytest.mark.parametrize("name", BENCH_FIXTURES)
+    def test_two_products_per_sweep_match_three_bitwise(self, name):
+        joint = resolve_fixture(name).joint(64)
+        result = maxcorr_ace(joint)
+        assert (result.R, result.iterations) == ace_three_products(joint)
 
 
 def brute_force_2x2(pmf):
@@ -443,7 +459,11 @@ class TestLanczosRoute:
     def test_an_exhausted_krylov_space_stops_at_once(self):
         # D = -e1 e1^T annihilates every start vector orthogonal to e1: alpha_1 is exactly 0
         e1 = np.array([1.0, 0.0, 0.0])
-        assert correlation._lanczos_sigma2(np.zeros((3, 3)), e1, e1) == 0.0
+
+        def zero(v):
+            return np.zeros(3)
+
+        assert correlation._lanczos_sigma2(zero, zero, e1, e1) == 0.0
 
     def test_step_cap_without_convergence_falls_back(self, disc_joint, fallbacks, monkeypatch):
         monkeypatch.setattr(correlation, "_LANCZOS_MAX_STEPS", 3)

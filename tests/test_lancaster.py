@@ -569,6 +569,19 @@ class TestModelConfig:
         assert reloaded.marginal_y == model.marginal_y
 
 
+class TestEqualMarginals:
+    def test_equal_marginals_share_one_system(self, uniform01):
+        model = build_model(uniform01, MarginalSpec("uniform", (0, 1)), (0.05, 0.15))
+        assert model.system_y is model.system_x
+
+    def test_different_marginals_build_their_own(self, uniform01, beta23, monkeypatch):
+        built = []
+        monkeypatch.setattr(lancaster, "build_system", lambda *args: built.append(args) or build_system(*args))
+        model = build_model(uniform01, beta23, (0.05,))
+        assert [args[0] for args in built] == [uniform01, beta23]
+        assert model.system_y is not model.system_x
+
+
 def _uniform_table(knots: int) -> MarginalSpec:
     """The uniform density on [0, 1] as a table of ``knots`` equispaced knots."""
     return MarginalSpec("table", (0.0, 1.0), (tuple(np.linspace(0.0, 1.0, knots)), (1.0,) * knots))
@@ -870,7 +883,7 @@ SMALL_JOINT = joint_from_pmf([[0.3, 0.2], [0.2, 0.3]])
 # its error names.
 REAL_ENTRY_POINTS = {
     "maxcorr_ace-tol": (lambda value: maxcorr_ace(SMALL_JOINT, tol=value), 1e-9, "tol"),
-    "correlation_report-ace_tol": (lambda value: correlation_report(SMALL_JOINT, ace_tol=value), 1e-9, "tol"),
+    "correlation_report-ace_tol": (lambda value: correlation_report(SMALL_JOINT, ace_tol=value), 1e-9, "ace_tol"),
     "maxcorr_svd-lower_bound": (lambda value: maxcorr_svd(SMALL_JOINT, lower_bound=value), 0.0, "lower_bound"),
     "gauss_legendre_rule-a": (lambda value: gauss_legendre_rule(8, value, 2.0), 0.0, "invalid-interval: a"),
     "gauss_legendre_rule-b": (lambda value: gauss_legendre_rule(8, 0.0, value), 1.0, "invalid-interval: b"),
