@@ -62,18 +62,20 @@ _MAX_DEGREE_LIMIT = 64
 _MAX_BATCH = 1 << 20
 
 # Proposals drawn, transformed and tested at a time within a round. A slice's
-# uniforms and temporaries (128 KiB per float array) stay in a core's L2 cache,
-# and a round stops at the slice that meets the count.
+# uniforms and the few buffers that its inversion, recurrence and series factor
+# fill in place (128 KiB per float array) stay in a core's L2 cache, and a round
+# stops at the slice that meets the count.
 _SLICE_PROPOSALS = 1 << 14
 
 
 class BoundViolationError(ValueError):
     """The coefficient mass exceeds the admissibility bound; the density may go negative."""
 
-    def __init__(self, bound_value: float):
+    def __init__(self, bound_value: float, detail: str | None = None):
         self.bound_value = float(bound_value)
         super().__init__(
-            f"bound-violated: sum |rho_n| c_n d_n = {bound_value:.17g} exceeds 1;"
+            detail
+            or f"bound-violated: sum |rho_n| c_n d_n = {bound_value:.17g} exceeds 1;"
             " the joint density is not guaranteed nonnegative"
         )
 
@@ -137,16 +139,21 @@ def build_sequence_quadratic(c, d, count: int) -> CoefficientSequence:
 
 
 def build_sequence_linear(c, d, count: int, lam: float) -> CoefficientSequence:
-    """rho_n = lambda * n for n <= count; admissible iff lambda <= 1 / sum n c_n d_n."""
+    """rho_n = lambda * n for n <= count; admissible iff lambda <= 1 / sum n c_n d_n.
+
+    A larger lambda raises BoundViolationError with the bound lambda * sum n c_n d_n.
+    """
     count = _count(count, "count", 1)
     cs, ds = _sup_norm_slices(c, d, count)
     lam = _real(lam, "lambda")
-    lam_max = 1.0 / float(np.sum(np.arange(1, count + 1) * cs * ds))
+    weighted = float(np.sum(np.arange(1, count + 1) * cs * ds))
+    lam_max = 1.0 / weighted
     if not (lam > 0.0):
         raise ValueError("lambda must be strictly positive")
     if lam > lam_max * (1.0 + _BOUND_SLACK):
-        raise ValueError(
-            f"lambda-too-large: maximum admissible lambda is {lam_max:.17g}, got {lam:.17g}"
+        raise BoundViolationError(
+            lam * weighted,
+            f"lambda-too-large: maximum admissible lambda is {lam_max:.17g}, got {lam:.17g}",
         )
     rho = lam * np.arange(1, count + 1, dtype=float)
     return validate_coefficients(rho, cs, ds)
@@ -187,10 +194,15 @@ class LancasterModel:
             return factor
         px = self.system_x.evaluate_all(ax, upto=n)
         py = self.system_y.evaluate_all(ay, upto=n)
-        factor = 1.0
+        # term by term, n = 1 .. N, into two buffers of the broadcast shape
+        shape = np.broadcast_shapes(ax.shape, ay.shape)
+        factor = np.ones(shape)
+        term = np.empty(shape)
         for k, r in enumerate(self.coeffs.rho, start=1):
-            factor = factor + r * px[k] * py[k]
-        return factor
+            np.multiply(px[k], r, out=term)
+            term *= py[k]
+            factor += term
+        return factor if factor.ndim else factor[()]
 
     def density(self, x, y):
         """Joint density; zero outside the support rectangle.
@@ -307,7 +319,10 @@ class _InverseCdfTable:
     its segment.
 
     A u in [0, 1) lies in segment k when cdf[k] <= u < cdf[k + 1]. A table with
-    one segment (every uniform marginal) needs no search and no gathers.
+    one segment needs no search and no gathers. One flat segment (every
+    uniform marginal) is inverted as min(x_0 + u / f, x_1), which is the
+    quadratic formula bit for bit: cdf[0] = 0 makes r = u, sqrt(fl(f * f)) == f
+    in binary64 whenever f * f is normal, and 2r / (2f) rounds as r / f.
     """
 
     def __init__(self, marginal: MarginalSpec):
@@ -320,17 +335,31 @@ class _InverseCdfTable:
         self.cdf = cdf / mass
         self.pdf = pdf[:-1] / mass
         self.slope = np.diff(pdf) / (width * mass)
+        f = float(self.pdf[0])
+        self.flat = self.x.size == 2 and self.slope[0] == 0.0 and np.finfo(float).tiny <= f * f < math.inf
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
+        if self.flat:
+            t = u / self.pdf[0]
+            t += self.x[0]
+            return np.minimum(t, self.x[1], out=t)
         # cdf[0] = 0 <= u and u < 1 = cdf[-1], so only the interior knots are searched
         i = np.searchsorted(self.cdf[1:-1], u, side="right") if self.x.size > 2 else 0
         r = u - self.cdf[i]
         f = self.pdf[i]
         # t = 2r / (f + sqrt(f^2 + 2 s r)) solves F_k + f t + s t^2 / 2 = u without
         # cancellation; a zero denominator means r = 0 and so t = 0
-        root = f + np.sqrt(np.maximum(f * f + 2.0 * self.slope[i] * r, 0.0))
-        t = 2.0 * r / np.where(root > 0.0, root, np.inf)
-        return np.minimum(self.x[i] + t, self.x[i + 1])
+        root = 2.0 * self.slope[i] * r
+        root += f * f
+        np.maximum(root, 0.0, out=root)
+        np.sqrt(root, out=root)
+        root += f
+        root[~(root > 0.0)] = np.inf
+        # t overwrites r
+        r *= 2.0
+        r /= root
+        r += self.x[i]
+        return np.minimum(r, self.x[i + 1], out=r)
 
 
 def sample_joint(

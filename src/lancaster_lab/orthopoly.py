@@ -245,22 +245,28 @@ class OrthonormalSystem:
         object.__setattr__(self, "sup_norms", sups)
 
     def evaluate_all(self, x, upto: int | None = None) -> np.ndarray:
-        """Stack phi_0 .. phi_upto evaluated at x along the first axis."""
+        """Stack phi_0 .. phi_upto evaluated at x along the first axis.
+
+        Each row is computed in place, in the order of the recurrence:
+        ((x - a_k) phi_k - b_k phi_{k-1}) / b_{k+1}. phi_0 = 1, so step 0
+        needs no product and step 1 subtracts the scalar b_1; both give the
+        same bits.
+        """
         top = self.max_degree
         n = top if upto is None else _count(upto, "degree-out-of-range: degree", 0, top)
         arr = np.asarray(x, dtype=float)
-        b = self.offdiagonals
+        a, b = self.recurrence_alpha, self.offdiagonals
         out = np.empty((n + 1,) + arr.shape)
-        prev = np.zeros_like(arr)
-        cur = np.ones_like(arr)
-        out[0] = cur
+        out[0] = 1.0
+        scratch = np.empty(arr.shape) if n > 2 else None
         for k in range(n):
-            nxt = (arr - self.recurrence_alpha[k]) * cur
-            if k > 0:
-                nxt = nxt - b[k - 1] * prev
-            nxt = nxt / b[k]
-            out[k + 1] = nxt
-            prev, cur = cur, nxt
+            # indexing with ... keeps a 0-d row a writable view
+            row = out[k + 1, ...]
+            np.subtract(arr, a[k], out=row)
+            if k:
+                row *= out[k]
+                row -= b[0] if k == 1 else np.multiply(out[k - 1], b[k - 1], out=scratch)
+            row /= b[k]
         return out
 
     def evaluate(self, n: int, x):

@@ -27,11 +27,50 @@ def marginal_residual(model, density=None):
     return float(res_x), float(res_y)
 
 
+def recurrence_allocating(system, x, upto):
+    """phi_0 .. phi_upto at x by the three-term recurrence, with a new array at every step.
+
+    ``((x - a_k) phi_k - b_k phi_{k-1}) / b_{k+1}`` from phi_{-1} = 0 and phi_0 = 1,
+    each step a chain of whole-array expressions; stacked along the first axis.
+    """
+    arr = np.asarray(x, dtype=float)
+    a, b = system.recurrence_alpha, system.offdiagonals
+    prev = np.zeros_like(arr)
+    cur = np.ones_like(arr)
+    rows = [cur]
+    for k in range(upto):
+        nxt = (arr - a[k]) * cur
+        if k > 0:
+            nxt = nxt - b[k - 1] * prev
+        nxt = nxt / b[k]
+        rows.append(nxt)
+        prev, cur = cur, nxt
+    return np.stack(rows)
+
+
+def inverse_cdf_quadratic(table, u):
+    """A ``lancaster._InverseCdfTable``'s inverse by the quadratic formula on every segment.
+
+    The segment k comes from a search over every knot, clipped into range. In
+    it, t = 2r / (f + sqrt(f^2 + 2 s r)) with r = u - cdf[k], f the density at
+    x_k and s the slope; a zero denominator gives t = 0.
+    """
+    i = np.clip(np.searchsorted(table.cdf, u, side="right") - 1, 0, table.x.size - 2)
+    r = u - table.cdf[i]
+    f = table.pdf[i]
+    root = f + np.sqrt(np.maximum(f * f + 2.0 * table.slope[i] * r, 0.0))
+    t = 2.0 * r / np.where(root > 0.0, root, np.inf)
+    return np.minimum(table.x[i] + t, table.x[i + 1])
+
+
 def series_factor_pointwise(model, x, y):
-    """1 + sum_n rho_n phi_n(x) psi_n(y), added point by point in the order n = 1 .. N."""
+    """1 + sum_n rho_n phi_n(x) psi_n(y), added point by point in the order n = 1 .. N.
+
+    phi_n and psi_n come from ``recurrence_allocating``, not from the library.
+    """
     n = len(model.coeffs)
-    px = model.system_x.evaluate_all(np.asarray(x, dtype=float), upto=n)
-    py = model.system_y.evaluate_all(np.asarray(y, dtype=float), upto=n)
+    px = recurrence_allocating(model.system_x, x, n)
+    py = recurrence_allocating(model.system_y, y, n)
     factor = 1.0
     for k, r in enumerate(model.coeffs.rho, start=1):
         factor = factor + r * px[k] * py[k]

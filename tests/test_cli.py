@@ -66,6 +66,22 @@ class TestValidate:
         assert "bound_value=1.8" in captured.out
         assert "error: bound-violated" in captured.err
 
+    def test_linear_builder_over_the_bound_is_a_bound_violation(self, tmp_path, capsys):
+        # lambda = 0.5 against 1 / (1 * 3 + 2 * 5): the bound is 0.5 * 13 = 6.5
+        cfg = {key: HEADLINE_CONFIG[key] for key in ("marginal_x", "marginal_y")}
+        cfg["rho_builder"] = {"type": "linear", "N": 2, "lambda": 0.5}
+        path = _write_config(tmp_path, cfg)
+        assert main(["validate", "--model", path]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["pass"] is False
+        assert payload["bound_value"] == pytest.approx(6.5, abs=1e-12)
+        assert captured.err.startswith("error: bound-violated: bound_value=6.5")
+        assert main(["report", "--model", path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: bound-violated: lambda-too-large: maximum admissible lambda is 0.0769230769")
+
     def test_json_format(self, model_file, capsys):
         assert main(["validate", "--model", model_file]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -39,6 +39,7 @@ from lancaster_lab.regression import check_eigen_regression, check_polynomial_re
 from reference_routes import (
     conditional_density_x_given_y,
     density_pointwise,
+    inverse_cdf_quadratic,
     marginal_residual,
     series_factor_pointwise,
 )
@@ -109,9 +110,10 @@ class TestSequenceBuilders:
             build_sequence_linear(UNIFORM_SUPS, UNIFORM_SUPS, 2, lam)
 
     def test_linear_rejects_oversized_lambda_and_quotes_maximum(self):
-        with pytest.raises(ValueError, match="lambda-too-large") as excinfo:
+        with pytest.raises(BoundViolationError, match="lambda-too-large") as excinfo:
             build_sequence_linear(UNIFORM_SUPS, UNIFORM_SUPS, 2, 0.2)
         assert "0.0769230769" in str(excinfo.value)
+        assert excinfo.value.bound_value == pytest.approx(0.2 * 13.0, rel=1e-12)
 
 
 class TestDensity:
@@ -331,27 +333,40 @@ class TestExactInversion:
         assert x[0] == lo
 
     @pytest.mark.parametrize(
-        "marginal",
-        [UNIFORM_WIDE, RAMP_TABLE, KINKED_TABLE, BETA23],
-        ids=["uniform", "two-knot-table", "table", "beta"],
+        "marginal, flat",
+        [
+            (UNIFORM_WIDE, True),
+            (MarginalSpec("uniform", (0.0, 1.0)), True),
+            (MarginalSpec("uniform", (-3.0, 1e-3)), True),
+            (MarginalSpec("uniform", (1e5, 1e5 + 2.0)), True),
+            # f * f is subnormal: sqrt(f * f) is not f, so the quadratic formula stays
+            (MarginalSpec("uniform", (-1e154, 1e154)), False),
+            (RAMP_TABLE, False),
+            (KINKED_TABLE, False),
+            (BETA23, False),
+        ],
+        ids=[
+            "uniform",
+            "uniform-01",
+            "uniform-near-0",
+            "uniform-far",
+            "uniform-vast",
+            "two-knot-table",
+            "table",
+            "beta",
+        ],
     )
-    def test_inverse_matches_the_clipped_search_over_every_knot(self, marginal):
+    def test_inverse_matches_the_clipped_search_over_every_knot(self, marginal, flat):
         inverse = lancaster._InverseCdfTable(marginal)
+        assert inverse.flat == flat
         u = np.concatenate(
             [
-                [0.0, np.nextafter(1.0, 0.0)],
+                [0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53],
                 inverse.cdf[1:-1],
                 np.random.default_rng(2).random(10_000),
             ]
         )
-        # the segment from a search over every knot, clipped into range, then the same arithmetic
-        i = np.clip(np.searchsorted(inverse.cdf, u, side="right") - 1, 0, inverse.x.size - 2)
-        r = u - inverse.cdf[i]
-        f = inverse.pdf[i]
-        root = f + np.sqrt(np.maximum(f * f + 2.0 * inverse.slope[i] * r, 0.0))
-        t = 2.0 * r / np.where(root > 0.0, root, np.inf)
-        expected = np.minimum(inverse.x[i] + t, inverse.x[i + 1])
-        assert inverse(u).tobytes() == expected.tobytes()
+        assert inverse(u).tobytes() == inverse_cdf_quadratic(inverse, u).tobytes()
 
     def test_beta_inverse_is_nondecreasing(self):
         inverse = lancaster._InverseCdfTable(BETA23)
@@ -744,9 +759,17 @@ class TestOpenGridDensity:
         rng = np.random.default_rng(slot)
         xs = rng.uniform(*model.marginal_x.support, 1000)
         ys = rng.uniform(*model.marginal_y.support, 1000)
-        for x, y in [(xs, ys), (xs.reshape(10, 100), ys.reshape(10, 100)), (xs[0], ys[0])]:
+        shapes = [
+            (xs, ys),
+            (xs.reshape(10, 100), ys.reshape(10, 100)),
+            (xs[:10].reshape(10, 1), ys[:20]),
+            (xs[0], ys),
+            (xs[0], ys[0]),
+        ]
+        for x, y in shapes:
             factor = np.asarray(model.series_factor(x, y))
             assert factor.tobytes() == np.asarray(series_factor_pointwise(model, x, y)).tobytes()
+        assert type(model.density(xs[0], ys[0])) is float
 
 
 class TestQuadNodesRoundTrip:

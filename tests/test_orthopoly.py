@@ -16,6 +16,7 @@ from lancaster_lab.orthopoly import (
     sup_norm,
 )
 from lancaster_lab.quadrature import integrate
+from reference_routes import recurrence_allocating
 
 
 def shifted_legendre(n, x):
@@ -263,6 +264,27 @@ class TestSupNorm:
 def system_case(request):
     kind, degree = request.param
     return build_system(request.getfixturevalue(kind), degree)
+
+
+class TestEvaluateAllIsTheRecurrence:
+    """evaluate_all, which fills its rows in place, against the allocating recurrence, bit for bit."""
+
+    SHAPES = [(), (7,), (5, 1), (1, 6), (4, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_every_degree_and_shape(self, system_case, shape):
+        lo, hi = system_case.support
+        x = np.random.default_rng(len(shape)).uniform(lo, hi, shape)
+        for upto in range(system_case.max_degree + 1):
+            values = system_case.evaluate_all(x, upto=upto)
+            assert values.shape == (upto + 1,) + shape
+            assert values.tobytes() == recurrence_allocating(system_case, x, upto).tobytes()
+
+    def test_python_floats_and_the_endpoints(self, system_case):
+        for x in (*system_case.support, 0.3):
+            assert system_case.evaluate_all(x).tobytes() == recurrence_allocating(
+                system_case, x, system_case.max_degree
+            ).tobytes()
 
 
 class TestDerivedFields:
