@@ -19,7 +19,7 @@ def main() -> None:
     print("model: uniform[0,1] x uniform[0,1], rho = (0.05, 0.15)")
     print(f"coefficient bound      {report.bound_value:.6f}  (must stay <= 1)")
     print(f"pearson                {corr.pearson:+.8f}")
-    print(f"maxcorr (closed form)  {corr.maxcorr_analytic:.8f}")
+    print(f"maxcorr (closed form)  {report.maxcorr_analytic:.8f}")
     print(f"maxcorr (kernel SVD)   {corr.maxcorr_svd:.8f}")
     print(f"maxcorr (ACE)          {corr.maxcorr_ace:.8f}")
     print(f"gap R - |pearson|      {corr.gap:+.8f}")

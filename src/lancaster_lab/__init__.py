@@ -4,120 +4,17 @@ Construct joints f1(x) f2(y) (1 + sum_n rho_n phi_n(x) psi_n(y)) from
 marginals with bounded support, verify their regression and spectral
 identities, and estimate maximal correlation three independent ways
 (closed form, kernel SVD, alternating conditional expectations).
+
+The public names are those of each module's ``__all__``, re-exported here.
 """
 
-from .correlation import (
-    AceConvergenceError,
-    AceResult,
-    CorrelationReport,
-    DiscretizedJoint,
-    SpectralFailureError,
-    SvdResult,
-    correlation_report,
-    discretize_joint,
-    discretize_model,
-    joint_from_pmf,
-    maxcorr_ace,
-    maxcorr_analytic,
-    maxcorr_decomposition,
-    maxcorr_discrete_pmf,
-    maxcorr_svd,
-    pearson,
-    singular_spectrum,
-)
-from .lancaster import (
-    BoundViolationError,
-    CoefficientSequence,
-    LancasterModel,
-    ModelVerificationError,
-    SampleStats,
-    build_model,
-    build_sequence_linear,
-    build_sequence_quadratic,
-    model_from_config,
-    model_to_config,
-    sample_joint,
-    transpose_model,
-    validate_coefficients,
-)
-from .orthopoly import (
-    DegenerateMarginalError,
-    MarginalSpec,
-    OrthonormalityError,
-    OrthonormalSystem,
-    build_system,
-    orthonormality_residual,
-    sup_norm,
-)
-from .quadrature import (
-    QuadratureRule,
-    composite_gauss_legendre,
-    gauss_legendre_rule,
-    integrate,
-    integrate_2d,
-)
-from .regression import (
-    CounterexampleReport,
-    LinearRegressionResult,
-    RegressionCheckResult,
-    check_eigen_regression,
-    check_linear_regression,
-    check_polynomial_regression,
-    conditional_expectation,
-    counterexample_report,
-)
+from . import correlation, lancaster, orthopoly, quadrature, regression
+from .correlation import *  # noqa: F401,F403
+from .lancaster import *  # noqa: F401,F403
+from .orthopoly import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .regression import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AceConvergenceError",
-    "AceResult",
-    "BoundViolationError",
-    "CoefficientSequence",
-    "CorrelationReport",
-    "CounterexampleReport",
-    "DegenerateMarginalError",
-    "DiscretizedJoint",
-    "LancasterModel",
-    "LinearRegressionResult",
-    "MarginalSpec",
-    "ModelVerificationError",
-    "OrthonormalSystem",
-    "OrthonormalityError",
-    "QuadratureRule",
-    "RegressionCheckResult",
-    "SampleStats",
-    "SpectralFailureError",
-    "SvdResult",
-    "build_model",
-    "build_sequence_linear",
-    "build_sequence_quadratic",
-    "build_system",
-    "check_eigen_regression",
-    "check_linear_regression",
-    "check_polynomial_regression",
-    "composite_gauss_legendre",
-    "conditional_expectation",
-    "correlation_report",
-    "counterexample_report",
-    "discretize_joint",
-    "discretize_model",
-    "gauss_legendre_rule",
-    "integrate",
-    "integrate_2d",
-    "joint_from_pmf",
-    "maxcorr_ace",
-    "maxcorr_analytic",
-    "maxcorr_decomposition",
-    "maxcorr_discrete_pmf",
-    "maxcorr_svd",
-    "model_from_config",
-    "model_to_config",
-    "orthonormality_residual",
-    "pearson",
-    "sample_joint",
-    "singular_spectrum",
-    "sup_norm",
-    "transpose_model",
-    "validate_coefficients",
-]
+__all__ = [name for module in (correlation, lancaster, orthopoly, quadrature, regression) for name in module.__all__]

@@ -42,13 +42,13 @@ from .correlation import (
     AceConvergenceError,
     SpectralFailureError,
     correlation_report,
-    discretize_model,
     maxcorr_decomposition,
 )
 from .fixtures import BENCH_FIXTURES, resolve_fixture
 from .lancaster import (
     BoundViolationError,
     ModelVerificationError,
+    discretize_model,
     model_from_config,
     model_to_config,
     sample_joint,
@@ -220,15 +220,7 @@ def _regression_entries(report) -> list[dict]:
             },
         }
         if checks.degree == 1:
-            linear = report.linear
-            entry["linear"] = {
-                "a1": linear.a1,
-                "a0": linear.a0,
-                "b1": linear.b1,
-                "b0": linear.b0,
-                "residual": linear.residual,
-                "strict": linear.strict,
-            }
+            entry["linear"] = {**report.linear._asdict(), "strict": report.linear.strict}
         entries.append(entry)
     return entries
 
@@ -236,14 +228,14 @@ def _regression_entries(report) -> list[dict]:
 def _report_document(report, model) -> dict:
     return {
         "pearson": report.correlation.pearson,
-        "maxcorr_analytic": report.correlation.maxcorr_analytic,
+        "maxcorr_analytic": report.maxcorr_analytic,
         "maxcorr_svd": report.correlation.maxcorr_svd,
         "maxcorr_ace": report.correlation.maxcorr_ace,
         "gap": report.correlation.gap,
         "regressions": _regression_entries(report),
         "bound_value": report.bound_value,
         "summary": {
-            "strict_linear": report.strict_linear,
+            "strict_linear": report.linear.strict,
             "gap_positive": report.gap_positive,
             "degenerate_comparison": report.degenerate_comparison,
             "counterexample_confirmed": report.counterexample_confirmed,
@@ -354,7 +346,7 @@ def _cmd_bench(config: RunConfig) -> int:
     for name in BENCH_FIXTURES:
         fixture = resolve_fixture(name)
         joint = fixture.joint(config.grid)
-        report = correlation_report(joint, model=fixture.model, ace_tol=config.tol)
+        report = correlation_report(joint, ace_tol=config.tol)
         rows.append(
             {
                 "fixture": name,

@@ -14,8 +14,8 @@ largest singular value exactly 1, carried by the constants; the second
 singular value is the maximal correlation and the corresponding singular
 vectors are the optimizing transformations. ACE (alternating conditional
 expectations) is power iteration on the same operator and serves as an
-independent estimate; for polynomial-expansion models max_n |rho_n| gives a
-third, closed-form value.
+independent estimate. Everything here reads only the finite law; a model's
+closed forms, such as max_n |rho_n|, live with the model in ``lancaster``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lancaster import LancasterModel
 from .quadrature import _MAX_AXIS_NODES, _count, _real, _reals, _values_on, gauss_legendre_rule
 
 __all__ = [
@@ -36,10 +35,8 @@ __all__ = [
     "SvdResult",
     "AceResult",
     "discretize_joint",
-    "discretize_model",
     "joint_from_pmf",
     "pearson",
-    "maxcorr_analytic",
     "maxcorr_svd",
     "maxcorr_decomposition",
     "maxcorr_ace",
@@ -172,15 +169,6 @@ def discretize_joint(
     return DiscretizedJoint(rule_x.nodes[keep_x], rule_y.nodes[keep_y], masses)
 
 
-def discretize_model(model: LancasterModel, nodes_per_axis: int = DEFAULT_MODEL_GRID) -> DiscretizedJoint:
-    """Grid representation of a model's joint density over its support rectangle."""
-    return discretize_joint(
-        model.density,
-        (model.marginal_x.support, model.marginal_y.support),
-        nodes_per_axis,
-    )
-
-
 def joint_from_pmf(pmf, x_values=None, y_values=None) -> DiscretizedJoint:
     """Wrap a finite pmf matrix as a DiscretizedJoint.
 
@@ -208,13 +196,18 @@ def joint_from_pmf(pmf, x_values=None, y_values=None) -> DiscretizedJoint:
 
 
 def pearson(joint: DiscretizedJoint) -> float:
-    """Covariance over the product of standard deviations, summed over the masses."""
+    """Covariance over the product of standard deviations, summed over the masses.
+
+    A coordinate whose variance is at most 1e-12 times the square of its node
+    range is (nearly) constant, whatever its units, and raises ValueError.
+    """
     p, q = joint.marginal_x, joint.marginal_y
     mean_x = float(p @ joint.x_nodes)
     mean_y = float(q @ joint.y_nodes)
     var_x = float(p @ (joint.x_nodes - mean_x) ** 2)
     var_y = float(q @ (joint.y_nodes - mean_y) ** 2)
-    if var_x <= 1e-12 or var_y <= 1e-12:
+    span_x, span_y = float(np.ptp(joint.x_nodes)), float(np.ptp(joint.y_nodes))
+    if var_x <= 1e-12 * span_x * span_x or var_y <= 1e-12 * span_y * span_y:
         raise ValueError(
             "degenerate-variance: correlation is undefined for (nearly) constant coordinates"
         )
@@ -484,36 +477,27 @@ def maxcorr_discrete_pmf(pmf) -> float:
     return maxcorr_svd(joint)
 
 
-# -- closed-form route and combined report -----------------------------------
-
-
-def maxcorr_analytic(model: LancasterModel) -> float:
-    """max_n |rho_n|: the closed-form maximal correlation of an expansion model."""
-    return float(np.max(np.abs(model.coeffs.rho)))
+# -- combined report -----------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
-    """All correlation quantities of one joint."""
+    """Pearson and the two estimates of R of one joint, and R_svd - |pearson|."""
 
     pearson: float
-    maxcorr_analytic: float | None
     maxcorr_svd: float
     maxcorr_ace: float
     gap: float
 
 
-def correlation_report(
-    joint: DiscretizedJoint,
-    model: LancasterModel | None = None,
-    ace_tol: float = 1e-9,
-) -> CorrelationReport:
-    """Pearson plus every available maximal-correlation estimate for a joint.
+def correlation_report(joint: DiscretizedJoint, ace_tol: float = 1e-9) -> CorrelationReport:
+    """Pearson and both maximal-correlation estimates of a finite law.
 
-    The closed-form value is included when a model is supplied. Nothing here
-    reads the optimizing transformations or the spectrum, so R_svd comes from
-    ``maxcorr_svd``, not ``maxcorr_decomposition``: Lanczos on the deflated
-    kernel, with ACE's estimate, computed first, as its lower bound. Raises
+    Only the joint is read; a model's closed-form R sits beside these numbers
+    in ``regression.CounterexampleReport``. Nothing here reads the optimizing
+    transformations or the spectrum, so R_svd comes from ``maxcorr_svd``, not
+    ``maxcorr_decomposition``: Lanczos on the deflated kernel, with ACE's
+    estimate, computed first, as its lower bound. Raises
     SpectralFailureError when the estimates violate structural guarantees
     (values outside [0, 1], or below |pearson| beyond oracle error: linear
     functions are always admissible transformations).
@@ -522,7 +506,6 @@ def correlation_report(
     rho = pearson(joint)
     ace = maxcorr_ace(joint, tol=ace_tol)
     svd = maxcorr_svd(joint, lower_bound=ace.R)
-    analytic = maxcorr_analytic(model) if model is not None else None
     for label, value in (("svd", svd), ("ace", ace.R)):
         if not -1e-9 <= value <= 1.0 + 1e-9:
             raise SpectralFailureError(
@@ -535,7 +518,6 @@ def correlation_report(
         )
     return CorrelationReport(
         pearson=rho,
-        maxcorr_analytic=analytic,
         maxcorr_svd=svd,
         maxcorr_ace=ace.R,
         gap=svd - abs(rho),

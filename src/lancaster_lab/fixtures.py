@@ -23,10 +23,9 @@ from .correlation import (
     DEFAULT_MODEL_GRID,
     DiscretizedJoint,
     discretize_joint,
-    discretize_model,
     joint_from_pmf,
 )
-from .lancaster import LancasterModel, build_model
+from .lancaster import LancasterModel, build_model, discretize_model
 from .orthopoly import MarginalSpec
 
 __all__ = ["Fixture", "resolve_fixture", "BENCH_FIXTURES"]

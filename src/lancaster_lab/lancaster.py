@@ -21,6 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .correlation import DEFAULT_MODEL_GRID, DiscretizedJoint, discretize_joint
 from .orthopoly import _DEFAULT_QUAD_NODES, MARGINAL_PARAMS, MarginalSpec, OrthonormalSystem, build_system
 from .quadrature import _MAX_AXIS_NODES, QuadratureRule, _count, _real, _reals, _values_on, integrate_2d
 
@@ -34,6 +35,8 @@ __all__ = [
     "build_sequence_linear",
     "build_model",
     "transpose_model",
+    "maxcorr_analytic",
+    "discretize_model",
     "sample_joint",
     "SampleStats",
     "model_to_config",
@@ -43,8 +46,8 @@ __all__ = [
 # Permits hitting the admissibility bound exactly, up to float rounding.
 _BOUND_SLACK = 1e-12
 
-# Series values in (-1e-12, 0) are cancellation noise on a provably
-# nonnegative density and are clamped to zero.
+# Series-factor values in (-1e-12, 0) are cancellation noise on a factor the
+# bound keeps >= 0; they are clamped before the unitless factor is scaled by f1 f2.
 _NEGATIVE_CLAMP = 1e-12
 
 _DEFAULT_MAX_DEGREE = 8
@@ -207,13 +210,13 @@ class LancasterModel:
     def density(self, x, y):
         """Joint density; zero outside the support rectangle.
 
-        For every shape of x and y the series factor's array is scaled in
-        place by f1, then by f2, and clamped; 0-d input gives a float.
+        For every shape of x and y the series factor's array is clamped, then
+        scaled in place by f1, then by f2; 0-d input gives a float.
         """
         value = np.asarray(self.series_factor(x, y))
+        np.copyto(value, 0.0, where=(value < 0.0) & (value > -_NEGATIVE_CLAMP))
         value *= self.marginal_x.density(x)
         value *= self.marginal_y.density(y)
-        np.copyto(value, 0.0, where=(value < 0.0) & (value > -_NEGATIVE_CLAMP))
         return value if value.ndim else float(value)
 
 
@@ -233,6 +236,20 @@ def transpose_model(model: LancasterModel) -> LancasterModel:
         rule_x=model.rule_y,
         rule_y=model.rule_x,
         quad_nodes=model.quad_nodes,
+    )
+
+
+def maxcorr_analytic(model: LancasterModel) -> float:
+    """max_n |rho_n|: the closed-form maximal correlation of an expansion model."""
+    return float(np.max(np.abs(model.coeffs.rho)))
+
+
+def discretize_model(model: LancasterModel, nodes_per_axis: int = DEFAULT_MODEL_GRID) -> DiscretizedJoint:
+    """Grid representation of a model's joint density over its support rectangle."""
+    return discretize_joint(
+        model.density,
+        (model.marginal_x.support, model.marginal_y.support),
+        nodes_per_axis,
     )
 
 

@@ -48,6 +48,9 @@ MARGINAL_PARAMS = {"uniform": (), "beta": ("a", "b"), "table": ("x", "density")}
 # than this; a larger deviation is treated as a real mistake, not rounding.
 _TABLE_RENORM_TOL = 1e-6
 
+# A monic recurrence coefficient beta_k is a variance ratio and scales as the
+# squared support width; one at most this times width^2 means the marginal
+# carries fewer effective support points than the degrees asked of it.
 _DEGENERATE_BETA = 1e-13
 _DEFAULT_QUAD_NODES = 128
 
@@ -370,6 +373,9 @@ def build_system(
         )
     alphas: list[float] = []
     betas_monic: list[float] = []
+    lo, hi = marginal.support
+    # multiplied, not squared with **: past the float range this is inf, not OverflowError
+    beta_floor = _DEGENERATE_BETA * (hi - lo) * (hi - lo)
     # far from 0 the monic iterates overflow; the finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_degree):
@@ -386,7 +392,7 @@ def build_system(
                     f"stieltjes-overflow: the recurrence overflows at degree {k + 1} on the"
                     f" support {marginal.support!r}; shift the support nearer to 0 or narrow it"
                 )
-            if beta_next <= _DEGENERATE_BETA:
+            if beta_next <= beta_floor:
                 raise DegenerateMarginalError(
                     f"degenerate-marginal: recurrence coefficient beta_{k + 1} = {beta_next!r};"
                     " the marginal supports fewer polynomial degrees than requested"

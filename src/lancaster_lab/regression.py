@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .correlation import DEFAULT_MODEL_GRID, CorrelationReport, correlation_report, discretize_model
-from .lancaster import LancasterModel, transpose_model
+from .correlation import DEFAULT_MODEL_GRID, CorrelationReport, correlation_report
+from .lancaster import LancasterModel, discretize_model, maxcorr_analytic, transpose_model
 from .orthopoly import _GRAM_TOLERANCE, OrthonormalityError
 from .quadrature import _count
 
@@ -39,7 +39,8 @@ __all__ = [
     "counterexample_report",
 ]
 
-# Slopes below this are quadrature noise, not evidence of rho_1 != 0.
+# A correlation below this is quadrature noise, not evidence of rho_1 != 0: the
+# two slopes are strict when a1 b1 exceeds its square.
 STRICTNESS_THRESHOLD = 1e-10
 
 
@@ -74,8 +75,13 @@ class LinearRegressionResult(NamedTuple):
 
     @property
     def strict(self) -> bool:
-        """Both regressions have a genuinely nonzero slope."""
-        return abs(self.a1) > STRICTNESS_THRESHOLD and abs(self.b1) > STRICTNESS_THRESHOLD
+        """Both regressions have a genuinely nonzero slope: |a1 b1| > STRICTNESS_THRESHOLD**2.
+
+        When both regressions are linear, a1 = rho_1 sd(X) / sd(Y) and
+        b1 = rho_1 sd(Y) / sd(X), so a1 b1 = rho_1^2 whatever the units of X
+        and Y; a test on either slope alone would depend on them.
+        """
+        return abs(self.a1 * self.b1) > STRICTNESS_THRESHOLD**2
 
 
 def conditional_expectation(model: LancasterModel, h: Callable, y) -> float | np.ndarray:
@@ -260,8 +266,8 @@ def check_linear_regression(model: LancasterModel) -> LinearRegressionResult:
     Returns (a1, a0, b1, b0, residual) for E(X|Y) = a1 Y + a0 and
     E(Y|X) = b1 X + b0: the coefficients are the two degree-1 fits of
     ``check_polynomial_regression`` and residual is the larger of their
-    sup-norm defects. The ``strict`` property flags a1 b1 != 0, which happens
-    exactly when rho_1 does not vanish.
+    sup-norm defects. The ``strict`` property flags a1 b1 = rho_1^2 above
+    noise, which happens exactly when rho_1 does not vanish.
     """
     fit_x, fit_y = check_polynomial_regression(model, 1)
     a0, a1 = fit_x.fitted_coeffs
@@ -284,17 +290,20 @@ class DegreeChecks:
 class CounterexampleReport:
     """Everything needed to decide whether a model beats the naive equality.
 
-    ``counterexample_confirmed`` holds when both regressions are affine with
-    strictly nonzero slopes yet the maximal correlation strictly exceeds
-    |pearson|; ``degenerate_comparison`` flags the uninformative case where
-    both sides vanish.
+    ``correlation`` holds what was measured on the discretized joint alone;
+    ``maxcorr_analytic`` (max_n |rho_n|) and ``bound_value`` are the model's
+    closed forms beside it. ``counterexample_confirmed`` holds when both
+    regressions are affine with strictly nonzero slopes (``linear.strict``)
+    yet the maximal correlation strictly exceeds |pearson|;
+    ``degenerate_comparison`` flags the uninformative case where both sides
+    vanish.
     """
 
     correlation: CorrelationReport
+    maxcorr_analytic: float
     bound_value: float
     linear: LinearRegressionResult
     degree_checks: tuple[DegreeChecks, ...]
-    strict_linear: bool
     gap_positive: bool
     degenerate_comparison: bool
     counterexample_confirmed: bool
@@ -307,38 +316,30 @@ def counterexample_report(
 ) -> CounterexampleReport:
     """Run the full verification chain on one model.
 
-    Computes Pearson and all three maximal-correlation estimates on a grid
-    discretization, the affine regression coefficients, and the per-degree
+    Measures Pearson and both maximal-correlation estimates on a grid
+    discretization (``correlation_report``, which reads only that joint) and
+    puts the model's closed forms, max_n |rho_n| and the bound value, beside
+    them. Adds the affine regression coefficients and the per-degree
     eigenfunction and polynomial-moment identities. The gap field of the
     embedded correlation report is positive exactly when |rho_1| falls below
     max_{n >= 2} |rho_n|.
     """
     joint = discretize_model(model, grid)
-    corr = correlation_report(joint, model=model, ace_tol=ace_tol)
+    corr = correlation_report(joint, ace_tol=ace_tol)
     linear = check_linear_regression(model)
-    checks = []
-    for n in range(1, len(model.coeffs) + 1):
-        eigen_xy, eigen_yx = check_eigen_regression(model, n)
-        poly_xy, poly_yx = check_polynomial_regression(model, n)
-        checks.append(
-            DegreeChecks(
-                degree=n,
-                eigen_x_given_y=eigen_xy,
-                eigen_y_given_x=eigen_yx,
-                poly_x_given_y=poly_xy,
-                poly_y_given_x=poly_yx,
-            )
-        )
-    strict = abs(model.coeffs.rho[0]) > STRICTNESS_THRESHOLD
+    checks = tuple(
+        DegreeChecks(n, *check_eigen_regression(model, n), *check_polynomial_regression(model, n))
+        for n in range(1, len(model.coeffs) + 1)
+    )
     gap_positive = corr.gap > 5e-3
     degenerate = corr.maxcorr_svd < 2e-3 and abs(corr.pearson) < 1e-6
-    confirmed = strict and gap_positive and linear.residual <= 1e-8
+    confirmed = linear.strict and gap_positive and linear.residual <= 1e-8
     return CounterexampleReport(
         correlation=corr,
+        maxcorr_analytic=maxcorr_analytic(model),
         bound_value=model.coeffs.bound_value,
         linear=linear,
-        degree_checks=tuple(checks),
-        strict_linear=strict,
+        degree_checks=checks,
         gap_positive=gap_positive,
         degenerate_comparison=degenerate,
         counterexample_confirmed=confirmed,

@@ -266,6 +266,20 @@ class TestOutputMode:
             assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
+    def test_a_failed_write_removes_its_temp_file_and_leaves_the_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli._write_atomic(str(target), chunks())
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert target.read_text() == "old\n"
+
+
 class TestBench:
     def test_rows_and_reference_values(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -419,6 +433,18 @@ class TestRunConfigValues:
         with pytest.raises(ValueError, match=f"^--{field} must be (an integer|a real number), got "):
             cli.RunConfig(command, **{field: value})
 
+    @pytest.mark.parametrize(
+        "command,fields,message",
+        [
+            ("frobnicate", {}, "unknown command 'frobnicate'"),
+            ("bench", {"format": "xml"}, "format must be 'csv' or 'json'"),
+        ],
+        ids=["command", "format"],
+    )
+    def test_an_unknown_command_or_format_is_a_value_error(self, command, fields, message):
+        with pytest.raises(ValueError, match=message):
+            cli.RunConfig(command, **fields)
+
     def test_numpy_numbers_are_accepted(self):
         config = cli.RunConfig("sample", count=np.int64(5), seed=np.uint64(2**64 - 1))
         assert (config.count, config.seed) == (5, 2**64 - 1)
@@ -449,6 +475,19 @@ class TestErrorHandling:
     def test_unknown_fixture(self, capsys):
         assert main(["maxcorr", "--fixture", "torus"]) == 1
         assert "error: config-error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [("pball:x", "cannot parse exponent in fixture name 'pball:x'"), ("fgm:x", "cannot parse coefficient in fixture name 'fgm:x'")],
+    )
+    def test_unparsable_fixture_parameter(self, capsys, name, message):
+        assert main(["maxcorr", "--fixture", name]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config-error: {message}"]
+
+    @pytest.mark.parametrize("command", ["report", "maxcorr", "sample"])
+    def test_a_model_or_a_fixture_is_required(self, capsys, command):
+        assert main([command]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: config-error: one of --model or --fixture is required"]
 
     def test_model_and_fixture_are_exclusive(self, model_file, capsys):
         assert main(["report", "--model", model_file, "--fixture", "disc"]) == 1
@@ -481,6 +520,7 @@ class TestErrorHandling:
             lambda cfg: cfg.pop("rho") and cfg.update(
                 rho_builder={"type": "linear", "N": 2, "lambda": "0.01"}
             ),
+            lambda cfg: cfg.pop("rho") and cfg.update(rho_builder={"type": "linear", "N": 2}),
         ],
     )
     def test_malformed_value_types_end_in_one_config_error(self, tmp_path, capsys, monkeypatch, mutate):
@@ -657,6 +697,16 @@ class TestErrorHandling:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith("error: verification-failed: ")
 
+    def test_negative_density_ends_in_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # with the bound check bypassed, rho_1 = -0.9 makes the density 1 - 2.7 at (0, 0)
+        monkeypatch.setattr(
+            lancaster, "validate_coefficients", lambda rho, c, d: lancaster.CoefficientSequence(rho, 0.0)
+        )
+        cfg = {**HEADLINE_CONFIG, "rho": [-0.9]}
+        assert main(["report", "--model", _write_config(tmp_path, cfg)]) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: verification-failed: density is negative (-1.700e+00)")
+
     def test_fgm_fixture_with_violating_coefficient_exits_two(self, capsys):
         assert main(["report", "--fixture", "fgm:0.5"]) == 2
         assert "error: bound-violated" in capsys.readouterr().err
@@ -692,6 +742,21 @@ class TestErrorKindOnce:
         assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
         assert lines[0].count(kind) == 1
 
+    @pytest.mark.parametrize(
+        "target,value,detail",
+        [
+            ("maxcorr_svd", 1.5, "maximal-correlation estimate (svd) is 1.5"),
+            ("maxcorr_ace", correlation.AceResult(-0.5, None, None, 1), "maximal-correlation estimate (ace) is -0.5"),
+            ("maxcorr_svd", 0.0, "maximal correlation 0.0 fell below |pearson|"),
+        ],
+        ids=["svd-above-one", "ace-below-zero", "svd-below-pearson"],
+    )
+    def test_report_guards_on_the_estimates_exit_three(self, model_file, capsys, monkeypatch, target, value, detail):
+        monkeypatch.setattr(correlation, target, lambda *args, **kwargs: value)
+        assert main(["report", "--model", model_file]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: spectral-failure: {detail}")
+
     def test_bound_violation_names_its_kind_once(self, violating_file, capsys):
         assert main(["report", "--model", violating_file]) == 2
         lines = capsys.readouterr().err.splitlines()
@@ -726,6 +791,29 @@ class TestSupportsFarFromZero:
         assert caught == []
         assert len(lines) == 1 and lines[0].startswith("error: config-error: stieltjes-overflow: ")
         assert repr(tuple(support)) in lines[0]
+
+
+class TestNarrowSupports:
+    """Floors relative to the support: a narrow model reports as it does on [0, 1]."""
+
+    def _report(self, tmp_path, support, rho):
+        marginal = {"kind": "uniform", "support": support}
+        cfg = {"marginal_x": marginal, "marginal_y": marginal, "rho": rho}
+        out = tmp_path / "report.json"
+        code = main(["report", "--model", _write_config(tmp_path, cfg), "--out", str(out)])
+        return code, json.loads(out.read_text()) if code == 0 else None
+
+    def test_headline_model_on_a_micrometre_square_is_confirmed(self, tmp_path):
+        code, doc = self._report(tmp_path, [0.0, 1e-6], [0.05, 0.15])
+        assert code == 0
+        assert doc["pearson"] == pytest.approx(0.05, abs=1e-6)
+        assert doc["maxcorr_svd"] == pytest.approx(0.15, abs=1e-3)
+        assert doc["summary"]["counterexample_confirmed"] is True
+
+    def test_coefficient_at_the_bound_builds_on_a_narrow_square(self, tmp_path):
+        code, doc = self._report(tmp_path, [0.0, 0.01], [-1.0 / 3.0])
+        assert code == 0
+        assert doc["pearson"] == pytest.approx(-1.0 / 3.0, abs=1e-6)
 
 
 class TestEmbeddedModelReloads:

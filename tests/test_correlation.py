@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,8 @@ from lancaster_lab.correlation import (
     SpectralFailureError,
     correlation_report,
     discretize_joint,
-    discretize_model,
     joint_from_pmf,
     maxcorr_ace,
-    maxcorr_analytic,
     maxcorr_discrete_pmf,
     maxcorr_decomposition,
     maxcorr_svd,
@@ -21,7 +21,9 @@ from lancaster_lab.correlation import (
     singular_spectrum,
 )
 from lancaster_lab.fixtures import BENCH_FIXTURES, _pball_density, resolve_fixture
+from lancaster_lab.lancaster import discretize_model, maxcorr_analytic
 from lancaster_lab.quadrature import gauss_legendre_rule
+from lancaster_lab.regression import counterexample_report
 from reference_routes import ace_three_products, discretize_by_index_grid
 
 UNIT_BOX = ((-1.0, 1.0), (-1.0, 1.0))
@@ -163,6 +165,12 @@ class TestPearson:
         with pytest.raises(ValueError, match="degenerate-variance"):
             pearson(joint)
 
+    def test_the_variance_floor_has_the_units_of_the_nodes(self, ce_joint):
+        # the floor is relative to the squared node range, so a narrow joint is no
+        # more degenerate than the same joint at unit scale
+        scaled = DiscretizedJoint(ce_joint.x_nodes * 1e-8, ce_joint.y_nodes * 1e-8, ce_joint.masses)
+        assert pearson(scaled) == pytest.approx(pearson(ce_joint), rel=1e-12)
+
 
 class TestMaxcorrSvd:
     def test_disc_value(self, disc_joint):
@@ -286,6 +294,11 @@ NEGATIVE_IN_A_TRIMMED_COLUMN = [[-0.25, 0.25, 0.0], [0.0, 0.25, 0.25], [0.0, 0.2
 
 
 class TestJointFromPmf:
+    @pytest.mark.parametrize("pmf", [[0.5, 0.5], [[[1.0]]], 1.0], ids=["vector", "3-d", "scalar"])
+    def test_a_pmf_must_be_a_matrix(self, pmf):
+        with pytest.raises(ValueError, match="pmf must be a matrix"):
+            joint_from_pmf(pmf)
+
     @pytest.mark.parametrize(
         "pmf", [NAN_IN_A_TRIMMED_ROW, NEGATIVE_IN_A_TRIMMED_COLUMN], ids=["nan", "negative"]
     )
@@ -325,6 +338,31 @@ class TestDiscretizedJointNodes:
             DiscretizedJoint(np.array([[0.0, 1.0]]), np.array([0.0, 1.0]), masses)
         with pytest.raises(ValueError, match="1-D"):
             DiscretizedJoint(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), masses)
+
+
+class TestTwoNodesPerAxis:
+    @pytest.mark.parametrize("pmf", [[[0.5, 0.5]], [[0.5], [0.5]]], ids=["one-row", "one-column"])
+    @pytest.mark.parametrize("route", [maxcorr_svd, maxcorr_decomposition], ids=["svd", "decomposition"])
+    def test_a_single_node_on_an_axis_is_rejected(self, route, pmf):
+        with pytest.raises(ValueError, match="need at least two retained nodes per axis"):
+            route(joint_from_pmf(pmf))
+
+
+class TestOrientation:
+    def test_an_optimizer_orthogonal_to_x_and_x2_is_signed_by_its_largest_entry(self, uniform01):
+        # rho_3 is the largest coefficient, so g1 is phi_3: on uniform marginals it
+        # scores ~1e-15 against both x and x^2, and the last fallback signs it
+        model = build_model(uniform01, uniform01, (0.01, 0.0, 0.12))
+        joint = discretize_model(model, 64)
+        result = maxcorr_decomposition(joint)
+        assert result.R == pytest.approx(0.12, abs=1e-3)
+        weights = joint.marginal_x
+        for reference in (joint.x_nodes, joint.x_nodes**2):
+            score = float(weights @ (result.g1_values * correlation._standardize(reference, weights)))
+            assert abs(score) <= 1e-9
+        assert result.g1_values[np.argmax(np.abs(result.g1_values))] > 0.0
+        # the pair is flipped together, so g1^T P g2 stays R
+        assert float(result.g1_values @ joint.masses @ result.g2_values) == pytest.approx(result.R, abs=1e-12)
 
 
 class TestMaxcorrDiscretePmf:
@@ -381,16 +419,18 @@ class TestStructuralProperties:
 
 
 class TestCorrelationReport:
-    def test_expansion_model_report(self, ce_model, ce_joint):
-        report = correlation_report(ce_joint, model=ce_model)
+    def test_expansion_model_report(self, ce_model):
+        report = counterexample_report(ce_model)
         assert report.maxcorr_analytic == 0.15
-        assert report.pearson == pytest.approx(0.05, abs=1e-6)
-        assert report.gap == pytest.approx(0.10, abs=2e-3)
-        assert abs(report.maxcorr_ace - report.maxcorr_svd) <= 1e-3
+        corr = report.correlation
+        assert corr.pearson == pytest.approx(0.05, abs=1e-6)
+        assert corr.gap == pytest.approx(0.10, abs=2e-3)
+        assert abs(corr.maxcorr_ace - corr.maxcorr_svd) <= 1e-3
 
     def test_fixture_report_has_no_analytic_value(self, disc_joint):
         report = correlation_report(disc_joint)
-        assert report.maxcorr_analytic is None
+        assert "maxcorr_analytic" not in {f.name for f in dataclasses.fields(report)}
+        assert all(type(getattr(report, f.name)) is float for f in dataclasses.fields(report))
         assert report.maxcorr_svd == pytest.approx(1.0 / 3.0, abs=0.01)
 
     def test_analytic_route_is_the_coefficient_maximum(self, ce_model, swapped_model):

@@ -16,7 +16,6 @@ from lancaster_lab import lancaster
 from lancaster_lab.correlation import (
     correlation_report,
     discretize_joint,
-    discretize_model,
     joint_from_pmf,
     maxcorr_ace,
     maxcorr_svd,
@@ -27,6 +26,7 @@ from lancaster_lab.lancaster import (
     build_model,
     build_sequence_linear,
     build_sequence_quadratic,
+    discretize_model,
     model_from_config,
     model_to_config,
     sample_joint,
@@ -136,6 +136,15 @@ class TestDensity:
     def test_nonnegative_on_fine_grid(self, ce_model):
         xs = np.linspace(0.0, 1.0, 256)
         assert np.min(ce_model.density(xs[:, None], xs[None, :])) >= 0.0
+
+    @pytest.mark.parametrize("width", [1.0, 0.01])
+    def test_a_coefficient_at_the_bound_is_nonnegative_on_any_width(self, width):
+        # the series factor reaches 0 at two corners; its rounding noise is
+        # clamped before f1 f2 = 1 / width^2 scales it
+        square = MarginalSpec("uniform", (0.0, width))
+        model = build_model(square, square, (-1.0 / 3.0,))
+        xs = np.linspace(0.0, width, 256)
+        assert np.min(model.density(xs[:, None], xs[None, :])) >= 0.0
 
     def test_total_mass_one(self, ce_model):
         mass = integrate_2d(ce_model.density, ce_model.rule_x, ce_model.rule_y)
@@ -550,6 +559,26 @@ class TestModelConfig:
         cfg = model_to_config(ce_model)
         mutate(cfg)
         with pytest.raises(ValueError):
+            model_from_config(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ([1], "model config must be a JSON object"),
+            (None, "model config must be a JSON object"),
+            (
+                {
+                    "marginal_x": {"kind": "uniform", "support": [0, 1]},
+                    "marginal_y": {"kind": "uniform", "support": [0, 1]},
+                    "rho_builder": {"type": "linear", "N": 2},
+                },
+                "linear rho_builder needs a 'lambda' value",
+            ),
+        ],
+        ids=["array", "null", "linear-without-lambda"],
+    )
+    def test_bad_configs_name_their_fault(self, cfg, message):
+        with pytest.raises(ValueError, match=message):
             model_from_config(cfg)
 
     @pytest.mark.parametrize(

@@ -332,6 +332,16 @@ class TestDegenerateMarginal:
         with pytest.raises(DegenerateMarginalError, match="degenerate-marginal"):
             build_system(spike, 3)
 
+    @pytest.mark.parametrize("support", [(0.0, 1e-7), (-5e-7, 5e-7), (0.0, 1e-9)])
+    def test_a_narrow_support_is_not_degenerate(self, support):
+        # beta_k scales as the squared width, and so does the floor it is held to
+        system = build_system(MarginalSpec("uniform", support), 8)
+        np.testing.assert_allclose(system.sup_norms[1:4], np.sqrt([3.0, 5.0, 7.0]), rtol=1e-12)
+
+    def test_a_vanishing_support_is_still_degenerate(self):
+        with pytest.raises(DegenerateMarginalError, match="degenerate-marginal: recurrence coefficient beta_6 = 0.0"):
+            build_system(MarginalSpec("uniform", (0.0, 1e-30)), 8)
+
     def test_too_few_quadrature_nodes_rejected(self, uniform01):
         with pytest.raises(ValueError):
             build_system(uniform01, 8, quad_nodes=4)

@@ -183,6 +183,28 @@ class TestRuleConstruction:
                 QuadratureRule(np.array([0.5]), np.array([1.0]), interval)
         assert caught == []
 
+    @pytest.mark.parametrize(
+        "nodes,weights,message",
+        [
+            ([[0.5]], [[1.0]], "1-d arrays of equal nonzero length"),
+            ([0.25, 0.75], [1.0], "1-d arrays of equal nonzero length"),
+            ([], [], "1-d arrays of equal nonzero length"),
+            ([0.5, 1.5], [0.5, 0.5], "inside the interval"),
+            ([-0.5, 0.5], [0.5, 0.5], "inside the interval"),
+        ],
+        ids=["2-d", "unequal", "empty", "node-above", "node-below"],
+    )
+    def test_rejects_bad_shapes_and_nodes_outside_the_interval(self, nodes, weights, message):
+        with pytest.raises(ValueError, match=message):
+            QuadratureRule(np.array(nodes), np.array(weights), (0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "breakpoints", [[0.0], [0.0, 1.0, 1.0], [1.0, 0.0], [0.0, np.inf]], ids=["one", "repeated", "decreasing", "inf"]
+    )
+    def test_composite_rule_rejects_bad_breakpoints(self, breakpoints):
+        with pytest.raises(ValueError, match="^invalid-interval: breakpoints"):
+            composite_gauss_legendre(breakpoints, 8)
+
     def test_widest_interval_builds_without_warnings(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

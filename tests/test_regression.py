@@ -63,6 +63,10 @@ class TestConditionalExpectation:
         monkeypatch.setattr(MarginalSpec, "quadrature_rule", no_rule)
         assert conditional_expectation(ce_model, lambda x: x**3, 0.3) == expected
 
+    def test_rejects_a_non_finite_h(self, ce_model):
+        with pytest.raises(ValueError, match="non-finite-evaluation"):
+            conditional_expectation(ce_model, lambda x: np.where(x < 0.5, np.inf, x), 0.3)
+
     def test_rejects_unsupported_conditioning_point(self, ce_model, beta23):
         with pytest.raises(ValueError, match="unsupported-conditioning-point"):
             conditional_expectation(ce_model, lambda x: x, 1.7)
@@ -174,7 +178,7 @@ class TestCounterexampleReport:
     def test_headline_model_confirms(self, ce_model):
         report = counterexample_report(ce_model)
         assert report.correlation.gap == pytest.approx(0.10, abs=2e-3)
-        assert report.strict_linear
+        assert report.linear.strict
         assert report.counterexample_confirmed
         assert not report.degenerate_comparison
         assert report.correlation.pearson == pytest.approx(0.05, abs=1e-6)
@@ -184,11 +188,26 @@ class TestCounterexampleReport:
         report = counterexample_report(swapped_model)
         assert abs(report.correlation.gap) <= 2e-3
         assert not report.counterexample_confirmed
-        assert report.strict_linear
+        assert report.linear.strict
+
+    @pytest.mark.parametrize(
+        "support_x,support_y",
+        [((0.0, 1e-5), (0.0, 1e4)), ((0.0, 1e-9), (0.0, 1.0))],
+        ids=["1e-5-by-1e4", "1e-9-by-1"],
+    )
+    def test_strictness_does_not_depend_on_units(self, support_x, support_y):
+        # a1 = rho_1 sd(X) / sd(Y) is 5e-11 on both, below 1e-10, but a1 b1 = rho_1^2
+        model = build_model(MarginalSpec("uniform", support_x), MarginalSpec("uniform", support_y), (0.05, 0.15))
+        report = counterexample_report(model)
+        assert report.linear.a1 * report.linear.b1 == pytest.approx(0.05**2, rel=1e-9)
+        assert report.linear.strict
+        assert report.counterexample_confirmed
+        assert report.correlation.pearson == pytest.approx(0.05, abs=1e-6)
+        assert report.maxcorr_analytic == 0.15
 
     def test_trivial_regression_case(self, trivial_regression_model):
         report = counterexample_report(trivial_regression_model)
-        assert not report.strict_linear
+        assert not report.linear.strict
         assert not report.counterexample_confirmed
         assert report.correlation.maxcorr_svd == pytest.approx(0.15, abs=1e-3)
         assert report.correlation.pearson == pytest.approx(0.0, abs=1e-6)
