@@ -12,9 +12,10 @@ Subcommands and the flags each one reads (it accepts no other):
     bench      --grid, --tol, --out, --format
                run every built-in fixture and tabulate the estimates
 
-Models come from ``--model PATH`` (JSON config) or ``--fixture NAME`` for the
-built-ins (disc, pball:p, fourpoint, fgm:rho1). ``--grid`` is at most
-MAX_GRID, ``--count`` at most MAX_COUNT and ``--tol`` at most MAX_TOL.
+Both ``--model PATH`` (JSON config) and ``--fixture NAME`` (disc, pball:p,
+fourpoint, fgm:rho1) resolve to one ``fixtures.Fixture``; ``validate``, ``report``
+and ``sample`` read its model. ``--grid`` is at most MAX_GRID, ``--count`` at
+most MAX_COUNT and ``--tol`` at most MAX_TOL.
 Flags are spelt in full: a prefix such as ``--g`` is an unknown flag.
 Exit codes: 0 success, 1 config error (a malformed command line included),
 2 validation failure (coefficient bound), 3 numerical failure; each failure
@@ -44,11 +45,11 @@ from .correlation import (
     correlation_report,
     maxcorr_decomposition,
 )
-from .fixtures import BENCH_FIXTURES, resolve_fixture
+from .fixtures import BENCH_FIXTURES, Fixture, model_fixture, resolve_fixture
 from .lancaster import (
     BoundViolationError,
+    LancasterModel,
     ModelVerificationError,
-    discretize_model,
     model_from_config,
     model_to_config,
     sample_joint,
@@ -149,24 +150,28 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _load_model_config(config: RunConfig) -> dict:
-    with open(config.model_path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _resolve(config: RunConfig):
-    """(fixture, model) from --fixture or --model; either is None when absent."""
+def _source(config: RunConfig) -> Fixture:
+    """The one source a command reads: the --model config or the --fixture, as a Fixture."""
     if config.model_path is not None and config.fixture is not None:
         raise ValueError("--model and --fixture are mutually exclusive")
     if config.model_path is not None:
-        return None, model_from_config(_load_model_config(config))
+        with open(config.model_path, "r", encoding="utf-8") as handle:
+            model_config = json.load(handle)
+        return model_fixture(model_from_config(model_config))
     if config.fixture is None:
         raise ValueError("one of --model or --fixture is required")
-    fixture = resolve_fixture(config.fixture)
-    return fixture, fixture.model
+    return resolve_fixture(config.fixture)
 
 
-_NOT_A_MODEL = "fixture {!r} is not an expansion model; this command needs --model or an fgm fixture"
+def _model(config: RunConfig) -> LancasterModel:
+    """The expansion model behind the command's source; a fixture without one is a config error."""
+    model = _source(config).model
+    if model is None:
+        raise ValueError(
+            f"fixture {config.fixture!r} is not an expansion model;"
+            " this command needs --model or an fgm fixture"
+        )
+    return model
 
 
 # -- subcommands -------------------------------------------------------------
@@ -174,10 +179,8 @@ _NOT_A_MODEL = "fixture {!r} is not an expansion model; this command needs --mod
 
 def _cmd_validate(config: RunConfig) -> int:
     """Check the coefficient bound of a model config."""
-    cfg = _load_model_config(config)
     try:
-        model = model_from_config(cfg)
-        bound = model.coeffs.bound_value
+        bound = _model(config).coeffs.bound_value
         ok = True
     except BoundViolationError as exc:
         bound = exc.bound_value
@@ -265,9 +268,7 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
 
 def _cmd_report(config: RunConfig) -> int:
     """Full correlation + regression verification report."""
-    _, model = _resolve(config)
-    if model is None:
-        raise ValueError(_NOT_A_MODEL.format(config.fixture))
+    model = _model(config)
     report = counterexample_report(model, grid=config.grid or DEFAULT_MODEL_GRID, ace_tol=config.tol)
     document = _report_document(report, model)
     if config.format == "json":
@@ -277,37 +278,26 @@ def _cmd_report(config: RunConfig) -> int:
     return 0
 
 
-def _sibling_path(path: str, tag: str) -> str:
+def _table_path(path: str, key: str) -> str:
+    """--out names the spectrum file; each optimizer goes to a sibling, ``<stem>.<key><ext>``."""
     stem, ext = os.path.splitext(path)
-    return f"{stem}.{tag}{ext or '.csv'}"
+    return path if key == "spectrum" else f"{stem}.{key}{ext or '.csv'}"
 
 
 def _cmd_maxcorr(config: RunConfig) -> int:
     """Singular spectrum and optimizing transformations."""
-    fixture, model = _resolve(config)
-    if fixture is None:
-        joint = discretize_model(model, config.grid or DEFAULT_MODEL_GRID)
-    else:
-        joint = fixture.joint(config.grid)
-    result = maxcorr_decomposition(joint)
+    result = maxcorr_decomposition(_source(config).joint(config.grid))
+    tables = {"spectrum": result.spectrum, "g1": result.g1_values, "g2": result.g2_values}
     if config.format == "json":
-        document = {
-            "R": result.R,
-            "spectrum": [float(s) for s in result.spectrum],
-            "g1": [float(v) for v in result.g1_values],
-            "g2": [float(v) for v in result.g2_values],
-        }
+        document = {"R": result.R, **{key: [float(v) for v in values] for key, values in tables.items()}}
         _emit(config, [_json_text(document)])
         return 0
-    spectrum_csv = _csv("index,value", ((i, _fmt(s)) for i, s in enumerate(result.spectrum)))
-    g1_csv = _csv("index,value", ((i, _fmt(v)) for i, v in enumerate(result.g1_values)))
-    g2_csv = _csv("index,value", ((i, _fmt(v)) for i, v in enumerate(result.g2_values)))
-    if config.output_path:
-        _write_atomic(config.output_path, [spectrum_csv])
-        _write_atomic(_sibling_path(config.output_path, "g1"), [g1_csv])
-        _write_atomic(_sibling_path(config.output_path, "g2"), [g2_csv])
-    else:
-        sys.stdout.write(f"# spectrum\n{spectrum_csv}# g1\n{g1_csv}# g2\n{g2_csv}")
+    for key, values in tables.items():
+        text = _csv("index,value", enumerate(map(_fmt, values)))
+        if config.output_path:
+            _write_atomic(_table_path(config.output_path, key), [text])
+        else:
+            sys.stdout.write(f"# {key}\n{text}")
     return 0
 
 
@@ -333,10 +323,7 @@ def _sample_chunks(samples, fmt: str):
 
 def _cmd_sample(config: RunConfig) -> int:
     """Rejection-sample (x, y) pairs from a model."""
-    _, model = _resolve(config)
-    if model is None:
-        raise ValueError(_NOT_A_MODEL.format(config.fixture))
-    _emit(config, _sample_chunks(sample_joint(model, config.count, config.seed), config.format))
+    _emit(config, _sample_chunks(sample_joint(_model(config), config.count, config.seed), config.format))
     return 0
 
 

@@ -50,6 +50,8 @@ _MARGINAL_FLOOR = 1e-12
 
 _MASS_TOL = 1e-6
 _ZERO_MASS = 1e-9
+# Variance of a constant, at most: an sd of 1e-12 on ACE's unit scale, below its 1e-9 tolerance.
+_ZERO_VARIANCE = 1e-24
 
 DEFAULT_MODEL_GRID = 200
 DEFAULT_CURVED_GRID = 400
@@ -227,11 +229,14 @@ def _kernel_products(masses: np.ndarray, sqrt_p: np.ndarray, sqrt_q: np.ndarray)
     return (lambda v: masses @ (v / sqrt_q) / sqrt_p), (lambda u: (u / sqrt_p) @ masses / sqrt_q)
 
 
-def _standardize(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _standardize(values: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """values with zero weighted mean and unit weighted variance; None at a variance of at most 1e-24."""
     total = float(np.sum(weights))
     mean = float(weights @ values) / total
     centered = values - mean
     var = float(weights @ centered**2) / total
+    if var <= _ZERO_VARIANCE:
+        return None
     return centered / np.sqrt(var)
 
 
@@ -239,12 +244,12 @@ def _orient_pair(g1, g2, joint: DiscretizedJoint):
     """Deterministic sign: g1 correlates nonnegatively with the identity.
 
     Falls back to the squared coordinate, then to the first sizable entry,
-    when the inner product with the identity is itself zero (symmetric
-    optimizers such as even functions on symmetric supports).
+    when the inner product with a reference is itself zero (symmetric
+    optimizers such as even functions on symmetric supports) or undefined.
     """
     weights = joint.marginal_x
-    for reference in (joint.x_nodes, joint.x_nodes**2):
-        score = float(weights @ (g1 * _standardize(reference, weights)))
+    for reference in (_standardize(values, weights) for values in (joint.x_nodes, joint.x_nodes**2)):
+        score = 0.0 if reference is None else float(weights @ (g1 * reference))
         if abs(score) > 1e-9:
             sign = np.sign(score)
             return g1 * sign, g2 * sign
@@ -406,12 +411,10 @@ def _ace_start(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     for _ in range(min(10, nodes.size - 1)):
         power = power * t
         mix = mix + power
-    total = float(np.sum(weights))
-    centered = mix - float(weights @ mix) / total
-    var = float(weights @ centered**2) / total
-    if var <= 1e-24:
+    start = _standardize(mix, weights)
+    if start is None:
         raise ValueError("degenerate-start: initial transformation has zero variance")
-    return centered / np.sqrt(var)
+    return start
 
 
 def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 2000, tol: float = 1e-9) -> AceResult:
@@ -422,8 +425,8 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 2000, tol: float = 1e-
     second singular value of the kernel (this is power iteration on the
     conditional-expectation operator). Stops when successive estimates move
     by at most tol; raises AceConvergenceError past max_iters (2000). A
-    conditional mean with (numerically) zero variance means the operator
-    annihilates mean-zero functions, so the maximal correlation is 0.
+    conditional mean that ``_standardize`` takes as constant means the
+    operator annihilates mean-zero functions, so the maximal correlation is 0.
     """
     tol = _positive(tol, "tol")
     max_iters = _count(max_iters, "max_iters", 1)
@@ -434,15 +437,12 @@ def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 2000, tol: float = 1e-
     estimate = None
     gap = float("nan")
     for iteration in range(1, max_iters + 1):
-        h1 = masses @ g2 / p
-        h1 = h1 - float(p @ h1) / float(np.sum(p))
-        var1 = float(p @ h1**2)
-        if var1 <= 1e-26:
-            zero = np.zeros_like(h1)
-            return AceResult(R=0.0, g1_values=zero, g2_values=np.zeros_like(g2), iterations=iteration)
-        g1 = h1 / np.sqrt(var1 / float(np.sum(p)))
-        g1_masses = g1 @ masses
-        g2 = _standardize(g1_masses / q, q)
+        g1 = _standardize(masses @ g2 / p, p)
+        if g1 is not None:
+            g1_masses = g1 @ masses
+            g2 = _standardize(g1_masses / q, q)
+        if g1 is None or g2 is None:
+            return AceResult(0.0, np.zeros_like(p), np.zeros_like(q), iteration)
         new_estimate = float(g1_masses @ g2)
         if estimate is not None:
             gap = abs(new_estimate - estimate)

@@ -12,6 +12,7 @@ are part of the test contract and must not drift with user edits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,10 +26,10 @@ from .correlation import (
     discretize_joint,
     joint_from_pmf,
 )
-from .lancaster import LancasterModel, build_model, discretize_model
+from .lancaster import LancasterModel, build_model, discretize_model, maxcorr_analytic
 from .orthopoly import MarginalSpec
 
-__all__ = ["Fixture", "resolve_fixture", "BENCH_FIXTURES"]
+__all__ = ["Fixture", "model_fixture", "resolve_fixture", "BENCH_FIXTURES"]
 
 BENCH_FIXTURES = ("disc", "pball:1", "pball:2", "fourpoint", "fgm:0.2")
 
@@ -44,24 +45,33 @@ FOURPOINT_PMF = np.array(
 
 @dataclass(frozen=True, eq=False)
 class Fixture:
-    """One named benchmark: its joint at a grid size, and its reference value.
+    """A joint that a command reads, with its reference maximal correlation.
 
-    ``joint(grid)`` discretizes at ``grid`` nodes per axis, or at the
-    fixture's default when ``grid`` is None; a pmf fixture ignores it.
-    ``model`` is the expansion model behind an fgm fixture, None otherwise.
+    ``discretize(grid)`` builds the joint at ``grid`` nodes per axis (a pmf
+    fixture ignores it). ``model`` is the expansion model behind a
+    ``model_fixture`` (every fgm fixture and ``--model`` config), else None.
     """
 
-    name: str
     reference_maxcorr: float
-    joint: Callable[..., DiscretizedJoint]
+    discretize: Callable[[int | None], DiscretizedJoint]
+    default_grid: int | None = None
     model: LancasterModel | None = None
 
+    def joint(self, grid: int | None = None) -> DiscretizedJoint:
+        """The joint at ``grid`` nodes per axis; None, and only None, means ``default_grid``."""
+        return self.discretize(self.default_grid if grid is None else grid)
 
-def _gridded(discretize: Callable[[int], DiscretizedJoint], default_grid: int) -> Callable:
-    def joint(grid: int | None = None) -> DiscretizedJoint:
-        return discretize(default_grid if grid is None else grid)
 
-    return joint
+def model_fixture(model: LancasterModel) -> Fixture:
+    """An expansion model as a Fixture: R = max_n |rho_n|, at DEFAULT_MODEL_GRID nodes by default."""
+    discretize = functools.partial(discretize_model, model)
+    return Fixture(maxcorr_analytic(model), discretize, DEFAULT_MODEL_GRID, model)
+
+
+def _curved(reference_maxcorr: float, density: Callable) -> Fixture:
+    """A density on the box [-1, 1]^2, at DEFAULT_CURVED_GRID nodes by default."""
+    discretize = functools.partial(discretize_joint, density, ((-1.0, 1.0), (-1.0, 1.0)))
+    return Fixture(reference_maxcorr, discretize, DEFAULT_CURVED_GRID)
 
 
 def _pball_density(p: float) -> Callable:
@@ -82,45 +92,24 @@ def _pball_density(p: float) -> Callable:
     return density
 
 
-def _curved(density: Callable) -> Callable:
-    """joint(grid) of a density on the box [-1, 1]^2."""
-    box = ((-1.0, 1.0), (-1.0, 1.0))
-    return _gridded(lambda nodes: discretize_joint(density, box, nodes), DEFAULT_CURVED_GRID)
-
-
 def resolve_fixture(name: str) -> Fixture:
     """Look up a built-in fixture by name; parameterized names use 'name:value'."""
-    if name == "disc":
-        return Fixture(
-            name=name,
-            reference_maxcorr=1.0 / 3.0,
-            joint=_curved(lambda x, y: np.where(x * x + y * y < 1.0, 1.0 / math.pi, 0.0)),
-        )
-    if name == "fourpoint":
-        return Fixture(
-            name=name,
-            reference_maxcorr=1.0,
-            joint=lambda grid=None: joint_from_pmf(FOURPOINT_PMF, FOURPOINT_VALUES, FOURPOINT_VALUES),
-        )
-    if name.startswith("pball:"):
+    kind, colon, text = name.partition(":")
+    # the parameterized fixtures, and what a parse error calls their value
+    parameter = {"pball": "exponent", "fgm": "coefficient"}.get(kind) if colon else None
+    if parameter is not None:
         try:
-            p = float(name.split(":", 1)[1])
+            value = float(text)
         except ValueError:
-            raise ValueError(f"cannot parse exponent in fixture name {name!r}") from None
-        if not (p > 0.0 and math.isfinite(p)):
+            raise ValueError(f"cannot parse {parameter} in fixture name {name!r}") from None
+        if kind == "fgm":
+            uniform = MarginalSpec("uniform", (0.0, 1.0))
+            return model_fixture(build_model(uniform, uniform, (value,)))
+        if not (value > 0.0 and math.isfinite(value)):
             raise ValueError("pball exponent must be a positive finite number")
-        return Fixture(name=name, reference_maxcorr=1.0 / (p + 1.0), joint=_curved(_pball_density(p)))
-    if name.startswith("fgm:"):
-        try:
-            rho1 = float(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"cannot parse coefficient in fixture name {name!r}") from None
-        uniform = MarginalSpec("uniform", (0.0, 1.0))
-        model = build_model(uniform, uniform, (rho1,))
-        return Fixture(
-            name=name,
-            reference_maxcorr=abs(rho1),
-            joint=_gridded(lambda nodes: discretize_model(model, nodes), DEFAULT_MODEL_GRID),
-            model=model,
-        )
+        return _curved(1.0 / (value + 1.0), _pball_density(value))
+    if name == "disc":
+        return _curved(1.0 / 3.0, lambda x, y: np.where(x * x + y * y < 1.0, 1.0 / math.pi, 0.0))
+    if name == "fourpoint":
+        return Fixture(1.0, lambda grid: joint_from_pmf(FOURPOINT_PMF, FOURPOINT_VALUES, FOURPOINT_VALUES))
     raise ValueError(f"unknown fixture {name!r}; expected disc, pball:p, fourpoint or fgm:rho1")

@@ -335,11 +335,11 @@ class _InverseCdfTable:
     equispaced knots of ``MarginalSpec.cdf_knots``. Every draw stays inside
     its segment.
 
-    A u in [0, 1) lies in segment k when cdf[k] <= u < cdf[k + 1]. A table with
-    one segment needs no search and no gathers. One flat segment (every
-    uniform marginal) is inverted as min(x_0 + u / f, x_1), which is the
-    quadratic formula bit for bit: cdf[0] = 0 makes r = u, sqrt(fl(f * f)) == f
-    in binary64 whenever f * f is normal, and 2r / (2f) rounds as r / f.
+    A u in [0, 1) lies in segment k when cdf[k] <= u < cdf[k + 1]; one search
+    of the interior knots finds k, and finds 0 when there are none. One flat
+    segment (every uniform marginal) is inverted as min(x_0 + u / f, x_1), the
+    quadratic formula bit for bit: cdf[0] = 0 makes r = u, sqrt(fl(f * f))
+    == f in binary64 whenever f * f is normal, and 2r / (2f) rounds as r / f.
     """
 
     def __init__(self, marginal: MarginalSpec):
@@ -361,7 +361,7 @@ class _InverseCdfTable:
             t += self.x[0]
             return np.minimum(t, self.x[1], out=t)
         # cdf[0] = 0 <= u and u < 1 = cdf[-1], so only the interior knots are searched
-        i = np.searchsorted(self.cdf[1:-1], u, side="right") if self.x.size > 2 else 0
+        i = np.searchsorted(self.cdf[1:-1], u, side="right")
         r = u - self.cdf[i]
         f = self.pdf[i]
         # t = 2r / (f + sqrt(f^2 + 2 s r)) solves F_k + f t + s t^2 / 2 = u without
@@ -393,15 +393,15 @@ def sample_joint(
     at most ``_MAX_BATCH``. A round of ``batch`` proposals takes its x, y and
     acceptance uniforms from positions [0, batch), [batch, 2 batch) and
     [2 batch, 3 batch) onward of the seed's PCG64 stream (that of
-    ``np.random.default_rng(seed)``), and the next round starts 3 batch
-    further on. Three copies of the generator, jumped ahead to those
-    positions, draw the uniforms ``_SLICE_PROPOSALS`` at a time; each slice
-    is transformed and tested at once, and the round stops at the slice that
-    meets the count. Neither the jumps nor the slices change a draw or the
-    proposal count. ``count`` and ``seed`` must be integers (bool and other
-    types are rejected), ``seed`` nonnegative. Output is deterministic for a
-    fixed seed. With ``with_stats`` the samples come paired with the proposal
-    count and realized acceptance rate.
+    ``np.random.default_rng(seed)``). Three generators, one per stream, jump
+    from the round's start to those positions and draw ``_SLICE_PROPOSALS``
+    uniforms at a time; a whole round leaves the acceptance stream at 3 batch,
+    where the next round starts. Each slice is transformed and tested at once,
+    and the round stops at the slice that meets the count. Neither the jumps
+    nor the slices change a draw or the proposal count. ``count`` and ``seed``
+    must be integers (bool and other types are rejected), ``seed`` nonnegative.
+    Output is deterministic for a fixed seed. With ``with_stats`` the samples
+    come paired with the proposal count and realized acceptance rate.
     """
     count = _count(count, "count", 1)
     seed = _count(seed, "seed", 0)
@@ -409,7 +409,6 @@ def sample_joint(
     inverse_x = _InverseCdfTable(model.marginal_x)
     inverse_y = _InverseCdfTable(model.marginal_y)
 
-    bits = np.random.PCG64(seed)
     # the x, y and acceptance streams, and the slice buffer they fill
     streams = [np.random.Generator(np.random.PCG64(seed)) for _ in range(3)]
     uniforms = np.empty((3, _SLICE_PROPOSALS))
@@ -418,11 +417,10 @@ def sample_joint(
     proposed = 0
     while filled < count:
         batch = min(_MAX_BATCH, max(4096, int((count - filled) * envelope * 1.2)))
-        round_start = bits.state
+        round_start = streams[2].bit_generator.state
         for k, stream in enumerate(streams):
             stream.bit_generator.state = round_start
             stream.bit_generator.advance(k * batch)
-        bits.advance(3 * batch)
         for start in range(0, batch, _SLICE_PROPOSALS):
             size = min(_SLICE_PROPOSALS, batch - start)
             for stream, row in zip(streams, uniforms):

@@ -128,7 +128,8 @@ class MarginalSpec:
                 raise ValueError("table marginal needs matching knot and value sequences (length >= 2)")
             if any(k2 <= k1 for k1, k2 in zip(knots, knots[1:])):
                 raise ValueError("table knots must be strictly increasing")
-            if abs(knots[0] - lo) > 1e-12 or abs(knots[-1] - hi) > 1e-12:
+            # within 1e-12 of the support's width, so the check means the same on any support
+            if max(abs(knots[0] - lo), abs(knots[-1] - hi)) > 1e-12 * (hi - lo):
                 raise ValueError("table knots must span exactly the declared support")
             if any(v < 0.0 or not math.isfinite(v) for v in values):
                 raise ValueError("table density values must be finite and nonnegative")
@@ -172,7 +173,7 @@ class MarginalSpec:
         if self.kind == "beta":
             return np.linspace(lo, hi, _CDF_TABLE_KNOTS)
         if self.kind == "table":
-            # its end knots may lie up to 1e-12 outside the support
+            # its end knots may lie up to 1e-12 of the support's width outside it
             return np.clip(self.params[0], lo, hi)
         return np.array([lo, hi])
 

@@ -57,10 +57,9 @@ class QuadratureRule:
             raise ValueError("all weights must be positive")
         if np.any(np.diff(nodes) < 0.0):
             raise ValueError("nodes must be in ascending order")
-        # tolerance is relative for very long intervals, absolute otherwise; the
-        # weights are summed as fractions of the width, so the sum cannot overflow
-        width = b - a
-        if abs(float(np.sum(weights / width)) - 1.0) * min(1.0, width) > 1e-12:
+        # the weights are summed as fractions of the width: the tolerance is
+        # relative on any interval, and the sum cannot overflow
+        if abs(float(np.sum(weights / (b - a))) - 1.0) > 1e-12:
             raise ValueError("weights must sum to the interval length")
 
     def __len__(self) -> int:

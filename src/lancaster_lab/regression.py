@@ -43,6 +43,10 @@ __all__ = [
 # two slopes are strict when a1 b1 exceeds its square.
 STRICTNESS_THRESHOLD = 1e-10
 
+# A regression is affine when its degree-1 fit misses the conditional mean by at
+# most this times the sd of the coordinate it predicts.
+_AFFINE_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class RegressionCheckResult:
@@ -294,9 +298,12 @@ class CounterexampleReport:
     ``maxcorr_analytic`` (max_n |rho_n|) and ``bound_value`` are the model's
     closed forms beside it. ``counterexample_confirmed`` holds when both
     regressions are affine with strictly nonzero slopes (``linear.strict``)
-    yet the maximal correlation strictly exceeds |pearson|;
-    ``degenerate_comparison`` flags the uninformative case where both sides
-    vanish.
+    yet the maximal correlation strictly exceeds |pearson|. Affine means each
+    degree-1 fit misses its conditional mean by at most 1e-8 times the sd of
+    the coordinate it predicts, b_1 of that coordinate's system (phi_1 =
+    (x - a_0) / b_1 has unit norm), on any units; ``linear.residual`` is the
+    larger miss as it is. ``degenerate_comparison`` flags the uninformative
+    case where both sides vanish.
     """
 
     correlation: CorrelationReport
@@ -333,7 +340,12 @@ def counterexample_report(
     )
     gap_positive = corr.gap > 5e-3
     degenerate = corr.maxcorr_svd < 2e-3 and abs(corr.pearson) < 1e-6
-    confirmed = linear.strict and gap_positive and linear.residual <= 1e-8
+    first = checks[0]
+    affine = all(
+        fit.max_residual <= _AFFINE_TOLERANCE * system.offdiagonals[0]
+        for fit, system in ((first.poly_x_given_y, model.system_x), (first.poly_y_given_x, model.system_y))
+    )
+    confirmed = linear.strict and gap_positive and affine
     return CounterexampleReport(
         correlation=corr,
         maxcorr_analytic=maxcorr_analytic(model),

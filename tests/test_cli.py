@@ -155,6 +155,17 @@ class TestReport:
         assert doc["maxcorr_analytic"] == pytest.approx(0.2)
         assert doc["gap"] == pytest.approx(0.0, abs=2e-3)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["report", "maxcorr"])
+    def test_an_fgm_fixture_and_its_model_config_write_the_same_bytes(self, tmp_path, capsys, command, fmt):
+        # fgm:0.2 is uniform [0, 1] x uniform [0, 1] with rho = (0.2,) at the default degree and rule
+        cfg = {"marginal_x": HEADLINE_CONFIG["marginal_x"], "marginal_y": HEADLINE_CONFIG["marginal_y"], "rho": [0.2]}
+        outputs = []
+        for source in (["--fixture", "fgm:0.2"], ["--model", _write_config(tmp_path, cfg)]):
+            assert main([command, *source, "--grid", "32", "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_csv_flavor_is_flat_key_value(self, model_file, capsys):
         assert main(["report", "--model", model_file, "--format", "csv"]) == 0
         out = capsys.readouterr().out

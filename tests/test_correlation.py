@@ -255,6 +255,24 @@ class TestMaxcorrAce:
         assert excinfo.value.iterations == 1
         assert np.isfinite(excinfo.value.last_estimate)
 
+    @pytest.mark.parametrize(
+        "pmf,R,R_ace,iterations",
+        [
+            # the 2 x 2 law with R = 4 e, whose first conditional mean has sd R
+            ([[0.25 + 1.25e-13, 0.25 - 1.25e-13], [0.25 - 1.25e-13, 0.25 + 1.25e-13]], 5e-13, 0.0, 1),
+            ([[0.25 + 5e-13, 0.25 - 5e-13], [0.25 - 5e-13, 0.25 + 5e-13]], 2e-12, 2e-12, 2),
+            # the sweep's g1 has sd just above 1e-12 and the g2 it gives rounds to just below
+            ([[0.14441466124353752, 0.06550192007357994], [0.543547482276626, 0.24653593640625657]], 1e-12, 0.0, 1),
+        ],
+        ids=["sd-5e-13", "sd-2e-12", "g2-below-the-floor"],
+    )
+    def test_a_conditional_mean_with_sd_at_most_1e_12_is_constant(self, pmf, R, R_ace, iterations):
+        joint = joint_from_pmf(pmf)
+        result = maxcorr_ace(joint)
+        assert result.R == pytest.approx(R_ace, rel=1e-3, abs=0.0)
+        assert result.iterations == iterations
+        assert maxcorr_svd(joint) == pytest.approx(R, rel=1e-3)
+
     def test_degenerate_start_raises(self):
         joint = joint_from_pmf([[0.5], [0.5]], x_values=[-1.0, 1.0], y_values=[0.5])
         with pytest.raises(ValueError, match="degenerate-start"):

@@ -20,7 +20,7 @@ from lancaster_lab.correlation import (
     maxcorr_ace,
     maxcorr_svd,
 )
-from lancaster_lab.fixtures import resolve_fixture
+from lancaster_lab.fixtures import model_fixture, resolve_fixture
 from lancaster_lab.lancaster import (
     BoundViolationError,
     build_model,
@@ -874,6 +874,7 @@ COUNT_ENTRY_POINTS = {
     "model_from_config-N": (lambda m, u, count: model_from_config(_quadratic_config(count)), 2, "'N'"),
     "discretize_model": (lambda m, u, count: discretize_model(m, count), 16, "nodes_per_axis"),
     "fixture-joint": (lambda m, u, count: resolve_fixture("disc").joint(count), 16, "nodes_per_axis"),
+    "model-fixture-joint": (lambda m, u, count: model_fixture(m).joint(count), 16, "nodes_per_axis"),
     "build_sequence_quadratic": (
         lambda m, u, count: build_sequence_quadratic(UNIFORM_SUPS, UNIFORM_SUPS, count),
         2,
@@ -900,7 +901,7 @@ COUNT_ENTRY_POINTS = {
 }
 
 # Entry points whose count defaults to None: the top degree, the fixture's default grid.
-NONE_MEANS_DEFAULT = {"evaluate_all", "monomial_coefficients", "fixture-joint"}
+NONE_MEANS_DEFAULT = {"evaluate_all", "monomial_coefficients", "fixture-joint", "model-fixture-joint"}
 
 
 class TestIntegerCountsAtEveryEntryPoint:
@@ -920,6 +921,12 @@ class TestIntegerCountsAtEveryEntryPoint:
         call, _, field = COUNT_ENTRY_POINTS[entry]
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got None")):
             call(ce_model, uniform01, None)
+
+    @pytest.mark.parametrize("entry", ["fixture-joint", "model-fixture-joint"])
+    def test_zero_is_not_the_default_grid(self, ce_model, uniform01, entry):
+        call, _, field = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be at least 16, got 0")):
+            call(ce_model, uniform01, 0)
 
     @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
     def test_numpy_integers_are_accepted(self, ce_model, uniform01, entry):

@@ -128,6 +128,15 @@ class TestMarginalSpec:
         with pytest.raises(ValueError, match="span"):
             MarginalSpec("table", (0.0, 3.0), ((0.0, 1.0, 2.0), (0.0, 1.0, 0.0)))
 
+    def test_table_knots_outside_a_narrow_support_are_rejected(self):
+        # both knots lie outside [0, 1e-13], each by less than an absolute 1e-12
+        with pytest.raises(ValueError, match="span"):
+            MarginalSpec("table", (0.0, 1e-13), ((5e-13, 6e-13), (1e13, 1e13)))
+
+    def test_table_knots_within_1e_12_of_the_width_are_clipped_to_the_support(self):
+        table = MarginalSpec("table", (0.0, 1e13), ((-5.0, 1e13), (1e-13, 1e-13)))
+        assert tuple(table.cdf_knots()) == (0.0, 1e13)
+
 
 class TestBuildSystemClosedForms:
     def test_symmetric_uniform_degree_one(self):

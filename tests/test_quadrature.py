@@ -165,8 +165,11 @@ class TestRuleConstruction:
             ([0.25, 0.75], [0.5, 0.6], (0.0, 1.0)),
             ([0.25e308, 0.75e308], [0.5e308, 0.6e308], (0.0, 1e308)),
             ([0.5e308, 1.5e308], [1e308, 1e308], (0.0, 1.7e308)),  # the plain sum overflows
+            ([0.25, 0.75], [0.5, 0.5 + 1e-11], (0.0, 1.0)),
+            # ten times the width: passed while the error was scaled by min(1, width)
+            ([0.25e-13, 0.75e-13], [0.5e-12, 0.5e-12], (0.0, 1e-13)),
         ],
-        ids=["unit", "wide", "sum-overflows"],
+        ids=["unit", "wide", "sum-overflows", "unit-off-by-1e-11", "narrow-off-tenfold"],
     )
     def test_rejects_wrong_weight_sum_without_warnings(self, nodes, weights, interval):
         with warnings.catch_warnings(record=True) as caught:
@@ -211,6 +214,17 @@ class TestRuleConstruction:
             rule = gauss_legendre_rule(8, 0.0, 1.7976931348623155e308)
         assert caught == []
         assert np.sum(rule.weights / 1.7976931348623155e308) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "interval",
+        [(0.0, 2e-9), (-1.0, 1.0), (1e6, 1e6 + 3.0), (-5e3, 5e3), (0.0, 1e300)],
+        ids=["width-2e-9", "width-2", "width-3-at-1e6", "width-1e4", "width-1e300"],
+    )
+    def test_gauss_legendre_weights_sum_to_the_width_on_any_interval(self, interval):
+        a, b = interval
+        for n in (1, 2, 3, 8, 64, 200, 400, 1024, 2048):
+            rule = gauss_legendre_rule(n, a, b)
+            assert abs(float(np.sum(rule.weights / (b - a))) - 1.0) <= 1e-15
 
     def test_composite_rule_spans_breakpoints(self):
         rule = composite_gauss_legendre([0.0, 0.3, 1.0, 2.0], 8)

@@ -192,11 +192,12 @@ class TestCounterexampleReport:
 
     @pytest.mark.parametrize(
         "support_x,support_y",
-        [((0.0, 1e-5), (0.0, 1e4)), ((0.0, 1e-9), (0.0, 1.0))],
-        ids=["1e-5-by-1e4", "1e-9-by-1"],
+        [((0.0, 1e-5), (0.0, 1e4)), ((0.0, 1e-9), (0.0, 1.0)), ((0.0, 1e9), (0.0, 1e9))],
+        ids=["1e-5-by-1e4", "1e-9-by-1", "1e9-by-1e9"],
     )
     def test_strictness_does_not_depend_on_units(self, support_x, support_y):
-        # a1 = rho_1 sd(X) / sd(Y) is 5e-11 on both, below 1e-10, but a1 b1 = rho_1^2
+        # a1 = rho_1 sd(X) / sd(Y) is 5e-11 on the first two, below 1e-10, but a1 b1 = rho_1^2;
+        # on the third the degree-1 fits miss by ~6e-8, one ulp of a conditional mean near 5e8
         model = build_model(MarginalSpec("uniform", support_x), MarginalSpec("uniform", support_y), (0.05, 0.15))
         report = counterexample_report(model)
         assert report.linear.a1 * report.linear.b1 == pytest.approx(0.05**2, rel=1e-9)
@@ -204,6 +205,24 @@ class TestCounterexampleReport:
         assert report.counterexample_confirmed
         assert report.correlation.pearson == pytest.approx(0.05, abs=1e-6)
         assert report.maxcorr_analytic == 0.15
+
+    @pytest.mark.parametrize("scale,confirmed", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("direction", [0, 1], ids=["x_given_y", "y_given_x"])
+    def test_each_degree_one_fit_is_gated_at_1e_8_sd(self, ce_model, monkeypatch, direction, scale, confirmed):
+        original = regression.check_polynomial_regression
+        system = (ce_model.system_x, ce_model.system_y)[direction]
+
+        def one_fit_misses(model, n):
+            fits = list(original(model, n))
+            if n == 1:
+                miss = scale * 1e-8 * system.offdiagonals[0]
+                fits[direction] = dataclasses.replace(fits[direction], max_residual=miss)
+            return tuple(fits)
+
+        monkeypatch.setattr(regression, "check_polynomial_regression", one_fit_misses)
+        report = counterexample_report(ce_model)
+        assert report.linear.strict and report.gap_positive
+        assert report.counterexample_confirmed is confirmed
 
     def test_trivial_regression_case(self, trivial_regression_model):
         report = counterexample_report(trivial_regression_model)
