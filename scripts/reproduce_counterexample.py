@@ -6,13 +6,13 @@ regressions are affine with slope 0.05, the Pearson correlation is 0.05,
 yet all three maximal-correlation estimates agree on 0.15.
 """
 
-from lancaster_lab import MarginalSpec, build_model, counterexample_report
+from lancaster_lab import MarginalSpec, build_model, counterexample_report, discretize_model
 
 
 def main() -> None:
     uniform = MarginalSpec("uniform", (0.0, 1.0))
     model = build_model(uniform, uniform, (0.05, 0.15))
-    report = counterexample_report(model)
+    report = counterexample_report(model, discretize_model(model, 200))
     corr = report.correlation
     linear = report.linear
 

@@ -13,9 +13,9 @@ Subcommands and the flags each one reads (it accepts no other):
                run every built-in fixture and tabulate the estimates
 
 Both ``--model PATH`` (JSON config) and ``--fixture NAME`` (disc, pball:p,
-fourpoint, fgm:rho1) resolve to one ``fixtures.Fixture``; ``validate``, ``report``
-and ``sample`` read its model. ``--grid`` is at most MAX_GRID, ``--count`` at
-most MAX_COUNT and ``--tol`` at most MAX_TOL.
+fourpoint, fgm:rho1) resolve to one ``fixtures.Fixture``; ``validate`` and
+``sample`` read its model, ``report`` its model and its joint. ``--grid`` is
+at most MAX_GRID, ``--count`` at most MAX_COUNT and ``--tol`` at most MAX_TOL.
 Flags are spelt in full: a prefix such as ``--g`` is an unknown flag.
 Exit codes: 0 success, 1 config error (a malformed command line included),
 2 validation failure (coefficient bound), 3 numerical failure; each failure
@@ -38,7 +38,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .correlation import (
-    DEFAULT_MODEL_GRID,
+    DEFAULT_ACE_TOL,
     MIN_GRID,
     AceConvergenceError,
     SpectralFailureError,
@@ -48,7 +48,6 @@ from .correlation import (
 from .fixtures import BENCH_FIXTURES, Fixture, model_fixture, resolve_fixture
 from .lancaster import (
     BoundViolationError,
-    LancasterModel,
     ModelVerificationError,
     model_from_config,
     model_to_config,
@@ -89,7 +88,7 @@ class RunConfig:
     output_path: str | None = None
     format: str | None = None
     count: int = 1000
-    tol: float = 1e-9
+    tol: float = DEFAULT_ACE_TOL
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -163,15 +162,15 @@ def _source(config: RunConfig) -> Fixture:
     return resolve_fixture(config.fixture)
 
 
-def _model(config: RunConfig) -> LancasterModel:
-    """The expansion model behind the command's source; a fixture without one is a config error."""
-    model = _source(config).model
-    if model is None:
+def _model_source(config: RunConfig) -> Fixture:
+    """The command's source if it carries an expansion model; a fixture without one is a config error."""
+    source = _source(config)
+    if source.model is None:
         raise ValueError(
             f"fixture {config.fixture!r} is not an expansion model;"
             " this command needs --model or an fgm fixture"
         )
-    return model
+    return source
 
 
 # -- subcommands -------------------------------------------------------------
@@ -180,7 +179,7 @@ def _model(config: RunConfig) -> LancasterModel:
 def _cmd_validate(config: RunConfig) -> int:
     """Check the coefficient bound of a model config."""
     try:
-        bound = _model(config).coeffs.bound_value
+        bound = _model_source(config).model.coeffs.bound_value
         ok = True
     except BoundViolationError as exc:
         bound = exc.bound_value
@@ -268,9 +267,9 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
 
 def _cmd_report(config: RunConfig) -> int:
     """Full correlation + regression verification report."""
-    model = _model(config)
-    report = counterexample_report(model, grid=config.grid or DEFAULT_MODEL_GRID, ace_tol=config.tol)
-    document = _report_document(report, model)
+    source = _model_source(config)
+    report = counterexample_report(source.model, source.joint(config.grid), ace_tol=config.tol)
+    document = _report_document(report, source.model)
     if config.format == "json":
         _emit(config, [_json_text(document)])
     else:
@@ -323,7 +322,8 @@ def _sample_chunks(samples, fmt: str):
 
 def _cmd_sample(config: RunConfig) -> int:
     """Rejection-sample (x, y) pairs from a model."""
-    _emit(config, _sample_chunks(sample_joint(_model(config), config.count, config.seed), config.format))
+    model = _model_source(config).model
+    _emit(config, _sample_chunks(sample_joint(model, config.count, config.seed), config.format))
     return 0
 
 

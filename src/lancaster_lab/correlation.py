@@ -50,11 +50,15 @@ _MARGINAL_FLOOR = 1e-12
 
 _MASS_TOL = 1e-6
 _ZERO_MASS = 1e-9
-# Variance of a constant, at most: an sd of 1e-12 on ACE's unit scale, below its 1e-9 tolerance.
+# Variance of a constant, at most: an sd of 1e-12 on ACE's unit scale, below DEFAULT_ACE_TOL.
 _ZERO_VARIANCE = 1e-24
 
+# Default nodes per axis of a model and of a curved fixture; fixtures and
+# perfbench/run.py read them from here.
 DEFAULT_MODEL_GRID = 200
 DEFAULT_CURVED_GRID = 400
+# ACE stops when successive estimates move by at most this.
+DEFAULT_ACE_TOL = 1e-9
 # Nodes per axis of a discretization, at least; at most quadrature._MAX_AXIS_NODES.
 MIN_GRID = 16
 
@@ -267,7 +271,9 @@ class SvdResult(NamedTuple):
 
 def _require_two_nodes(joint: DiscretizedJoint) -> None:
     if joint.x_nodes.size < 2 or joint.y_nodes.size < 2:
-        raise ValueError("need at least two retained nodes per axis")
+        raise ValueError(
+            "degenerate-joint: an axis has a single support point, so maximal correlation is undefined"
+        )
 
 
 def singular_spectrum(joint: DiscretizedJoint) -> np.ndarray:
@@ -417,7 +423,7 @@ def _ace_start(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return start
 
 
-def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 2000, tol: float = 1e-9) -> AceResult:
+def maxcorr_ace(joint: DiscretizedJoint, max_iters: int = 2000, tol: float = DEFAULT_ACE_TOL) -> AceResult:
     """Maximal correlation by alternating conditional expectations.
 
     Each sweep replaces g1 by E[g2(Y) | X], standardizes it, then updates g2
@@ -462,19 +468,13 @@ def maxcorr_discrete_pmf(pmf) -> float:
     ``maxcorr_svd`` of ``joint_from_pmf(pmf)``: the second singular value of
     Q_ij = p_ij / sqrt(p_i+ p_+j) after trimming zero rows and columns, with
     no singular vectors computed.
-    Undefined (degenerate-pmf) when either margin has a single support point.
+    Undefined (degenerate-joint) when either margin has a single support point.
     """
     p = np.asarray(pmf, dtype=float)
     total = float(p.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"pmf must sum to 1 within 1e-12, got {total!r}")
-    joint = joint_from_pmf(p)
-    if joint.x_nodes.size < 2 or joint.y_nodes.size < 2:
-        raise ValueError(
-            "degenerate-pmf: a margin has a single support point, so maximal"
-            " correlation is undefined"
-        )
-    return maxcorr_svd(joint)
+    return maxcorr_svd(joint_from_pmf(p))
 
 
 # -- combined report -----------------------------------------------------------
@@ -490,7 +490,7 @@ class CorrelationReport:
     gap: float
 
 
-def correlation_report(joint: DiscretizedJoint, ace_tol: float = 1e-9) -> CorrelationReport:
+def correlation_report(joint: DiscretizedJoint, ace_tol: float = DEFAULT_ACE_TOL) -> CorrelationReport:
     """Pearson and both maximal-correlation estimates of a finite law.
 
     Only the joint is read; a model's closed-form R sits beside these numbers

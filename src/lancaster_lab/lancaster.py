@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .correlation import DEFAULT_MODEL_GRID, DiscretizedJoint, discretize_joint
+from .correlation import DiscretizedJoint, discretize_joint
 from .orthopoly import _DEFAULT_QUAD_NODES, MARGINAL_PARAMS, MarginalSpec, OrthonormalSystem, build_system
 from .quadrature import _MAX_AXIS_NODES, QuadratureRule, _count, _real, _reals, _values_on, integrate_2d
 
@@ -244,8 +244,8 @@ def maxcorr_analytic(model: LancasterModel) -> float:
     return float(np.max(np.abs(model.coeffs.rho)))
 
 
-def discretize_model(model: LancasterModel, nodes_per_axis: int = DEFAULT_MODEL_GRID) -> DiscretizedJoint:
-    """Grid representation of a model's joint density over its support rectangle."""
+def discretize_model(model: LancasterModel, nodes_per_axis: int) -> DiscretizedJoint:
+    """The model's density on ``nodes_per_axis`` Gauss-Legendre nodes per axis over its support rectangle."""
     return discretize_joint(
         model.density,
         (model.marginal_x.support, model.marginal_y.support),

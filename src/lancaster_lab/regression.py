@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .correlation import DEFAULT_MODEL_GRID, CorrelationReport, correlation_report
-from .lancaster import LancasterModel, discretize_model, maxcorr_analytic, transpose_model
+from .correlation import DEFAULT_ACE_TOL, CorrelationReport, DiscretizedJoint, correlation_report
+from .lancaster import LancasterModel, maxcorr_analytic, transpose_model
 from .orthopoly import _GRAM_TOLERANCE, OrthonormalityError
 from .quadrature import _count
 
@@ -294,16 +294,17 @@ class DegreeChecks:
 class CounterexampleReport:
     """Everything needed to decide whether a model beats the naive equality.
 
-    ``correlation`` holds what was measured on the discretized joint alone;
-    ``maxcorr_analytic`` (max_n |rho_n|) and ``bound_value`` are the model's
-    closed forms beside it. ``counterexample_confirmed`` holds when both
-    regressions are affine with strictly nonzero slopes (``linear.strict``)
-    yet the maximal correlation strictly exceeds |pearson|. Affine means each
-    degree-1 fit misses its conditional mean by at most 1e-8 times the sd of
-    the coordinate it predicts, b_1 of that coordinate's system (phi_1 =
-    (x - a_0) / b_1 has unit norm), on any units; ``linear.residual`` is the
-    larger miss as it is. ``degenerate_comparison`` flags the uninformative
-    case where both sides vanish.
+    ``correlation`` holds what was measured on the joint the report was given,
+    and only on it; ``maxcorr_analytic`` (max_n |rho_n|) and ``bound_value``
+    are the model's closed forms beside it. ``counterexample_confirmed`` holds
+    when both regressions are affine with strictly nonzero slopes
+    (``linear.strict``) yet the maximal correlation strictly exceeds
+    |pearson|. Affine means each degree-1 fit misses its conditional mean by
+    at most 1e-8 times the sd of the coordinate it predicts, b_1 of that
+    coordinate's system (phi_1 = (x - a_0) / b_1 has unit norm), on any
+    units; ``linear.residual`` is the larger miss as it is.
+    ``degenerate_comparison`` flags the uninformative case where both sides
+    vanish.
     """
 
     correlation: CorrelationReport
@@ -317,21 +318,18 @@ class CounterexampleReport:
 
 
 def counterexample_report(
-    model: LancasterModel,
-    grid: int = DEFAULT_MODEL_GRID,
-    ace_tol: float = 1e-9,
+    model: LancasterModel, joint: DiscretizedJoint, ace_tol: float = DEFAULT_ACE_TOL
 ) -> CounterexampleReport:
-    """Run the full verification chain on one model.
+    """Run the full verification chain on one model and a joint of it.
 
-    Measures Pearson and both maximal-correlation estimates on a grid
-    discretization (``correlation_report``, which reads only that joint) and
-    puts the model's closed forms, max_n |rho_n| and the bound value, beside
-    them. Adds the affine regression coefficients and the per-degree
-    eigenfunction and polynomial-moment identities. The gap field of the
-    embedded correlation report is positive exactly when |rho_1| falls below
-    max_{n >= 2} |rho_n|.
+    Measures Pearson and both maximal-correlation estimates on ``joint``
+    (``correlation_report``; the caller chooses the joint, such as
+    ``discretize_model(model, 200)``) and puts the model's closed forms,
+    max_n |rho_n| and the bound value, beside them. Adds the affine regression
+    coefficients and the per-degree eigenfunction and polynomial-moment
+    identities. The gap field of the embedded correlation report is positive
+    exactly when |rho_1| falls below max_{n >= 2} |rho_n|.
     """
-    joint = discretize_model(model, grid)
     corr = correlation_report(joint, ace_tol=ace_tol)
     linear = check_linear_regression(model)
     checks = tuple(

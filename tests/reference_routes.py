@@ -112,13 +112,10 @@ def ace_three_products(joint, max_iters=2000, tol=1e-9):
     g2 = _ace_start(joint.y_nodes, q)
     estimate = None
     for iteration in range(1, max_iters + 1):
-        h1 = masses @ g2 / p
-        h1 = h1 - float(p @ h1) / float(np.sum(p))
-        var1 = float(p @ h1**2)
-        if var1 <= 1e-26:
+        g1 = _standardize(masses @ g2 / p, p)
+        g2 = None if g1 is None else _standardize(g1 @ masses / q, q)
+        if g2 is None:
             return 0.0, iteration
-        g1 = h1 / np.sqrt(var1 / float(np.sum(p)))
-        g2 = _standardize(g1 @ masses / q, q)
         new_estimate = float(g1 @ masses @ g2)
         if estimate is not None and abs(new_estimate - estimate) <= tol:
             return new_estimate, iteration

@@ -10,6 +10,7 @@ from lancaster_lab import cli, correlation, lancaster, model_from_config, sample
 from lancaster_lab.cli import main
 from lancaster_lab.fixtures import BENCH_FIXTURES
 from lancaster_lab.orthopoly import MarginalSpec
+from lancaster_lab.regression import counterexample_report
 
 HEADLINE_CONFIG = {
     "marginal_x": {"kind": "uniform", "support": [0, 1]},
@@ -155,14 +156,27 @@ class TestReport:
         assert doc["maxcorr_analytic"] == pytest.approx(0.2)
         assert doc["gap"] == pytest.approx(0.0, abs=2e-3)
 
+    def test_a_grid_report_has_the_library_numbers_on_that_joint(self, model_file, capsys):
+        assert main(["report", "--model", model_file, "--grid", "64"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        model = model_from_config(HEADLINE_CONFIG)
+        corr = counterexample_report(model, lancaster.discretize_model(model, 64)).correlation
+        assert [doc[key] for key in ("pearson", "maxcorr_svd", "maxcorr_ace", "gap")] == [
+            corr.pearson,
+            corr.maxcorr_svd,
+            corr.maxcorr_ace,
+            corr.gap,
+        ]
+
+    @pytest.mark.parametrize("grid", [["--grid", "32"], []], ids=["grid-32", "default-grid"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("command", ["report", "maxcorr"])
-    def test_an_fgm_fixture_and_its_model_config_write_the_same_bytes(self, tmp_path, capsys, command, fmt):
+    def test_an_fgm_fixture_and_its_model_config_write_the_same_bytes(self, tmp_path, capsys, command, fmt, grid):
         # fgm:0.2 is uniform [0, 1] x uniform [0, 1] with rho = (0.2,) at the default degree and rule
         cfg = {"marginal_x": HEADLINE_CONFIG["marginal_x"], "marginal_y": HEADLINE_CONFIG["marginal_y"], "rho": [0.2]}
         outputs = []
         for source in (["--fixture", "fgm:0.2"], ["--model", _write_config(tmp_path, cfg)]):
-            assert main([command, *source, "--grid", "32", "--format", fmt]) == 0
+            assert main([command, *source, *grid, "--format", fmt]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 

@@ -360,10 +360,18 @@ class TestDiscretizedJointNodes:
 
 class TestTwoNodesPerAxis:
     @pytest.mark.parametrize("pmf", [[[0.5, 0.5]], [[0.5], [0.5]]], ids=["one-row", "one-column"])
-    @pytest.mark.parametrize("route", [maxcorr_svd, maxcorr_decomposition], ids=["svd", "decomposition"])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda pmf: maxcorr_svd(joint_from_pmf(pmf)),
+            lambda pmf: maxcorr_decomposition(joint_from_pmf(pmf)),
+            maxcorr_discrete_pmf,
+        ],
+        ids=["svd", "decomposition", "discrete_pmf"],
+    )
     def test_a_single_node_on_an_axis_is_rejected(self, route, pmf):
-        with pytest.raises(ValueError, match="need at least two retained nodes per axis"):
-            route(joint_from_pmf(pmf))
+        with pytest.raises(ValueError, match="^degenerate-joint: an axis has a single support point"):
+            route(pmf)
 
 
 class TestOrientation:
@@ -395,7 +403,7 @@ class TestMaxcorrDiscretePmf:
         assert maxcorr_discrete_pmf([[0.3, 0.2], [0.2, 0.3]]) == pytest.approx(0.2, abs=1e-12)
 
     def test_degenerate_margin_rejected(self):
-        with pytest.raises(ValueError, match="degenerate-pmf"):
+        with pytest.raises(ValueError, match="degenerate-joint"):
             maxcorr_discrete_pmf([[0.5, 0.5], [0.0, 0.0]])
 
     def test_wrong_total_mass_rejected(self):
@@ -437,8 +445,12 @@ class TestStructuralProperties:
 
 
 class TestCorrelationReport:
-    def test_expansion_model_report(self, ce_model):
-        report = counterexample_report(ce_model)
+    @pytest.mark.parametrize("grid", [200, 64])
+    def test_expansion_model_report(self, ce_model, grid):
+        # the report measures the joint it is given, as correlation_report does
+        joint = discretize_model(ce_model, grid)
+        report = counterexample_report(ce_model, joint)
+        assert dataclasses.asdict(report.correlation) == dataclasses.asdict(correlation_report(joint))
         assert report.maxcorr_analytic == 0.15
         corr = report.correlation
         assert corr.pearson == pytest.approx(0.05, abs=1e-6)

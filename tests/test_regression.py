@@ -7,7 +7,7 @@ import pytest
 
 import lancaster_lab
 from lancaster_lab import regression
-from lancaster_lab.lancaster import build_model, model_from_config, transpose_model
+from lancaster_lab.lancaster import build_model, discretize_model, model_from_config, transpose_model
 from lancaster_lab.orthopoly import MarginalSpec, OrthonormalityError, build_system
 from lancaster_lab.quadrature import gauss_legendre_rule, integrate
 from lancaster_lab.regression import (
@@ -18,6 +18,11 @@ from lancaster_lab.regression import (
     counterexample_report,
 )
 from reference_routes import conditional_density_x_given_y
+
+
+def report_on_grid(model, grid=200):
+    """The counterexample report of a model on its joint at ``grid`` nodes per axis."""
+    return counterexample_report(model, discretize_model(model, grid))
 
 
 def quadrature_conditional_mean(model, h, y, nodes=512):
@@ -175,8 +180,12 @@ class TestLinearRegression:
 
 
 class TestCounterexampleReport:
+    def test_a_report_needs_the_joint_it_measures(self, ce_model):
+        with pytest.raises(TypeError, match="joint"):
+            counterexample_report(ce_model)
+
     def test_headline_model_confirms(self, ce_model):
-        report = counterexample_report(ce_model)
+        report = report_on_grid(ce_model)
         assert report.correlation.gap == pytest.approx(0.10, abs=2e-3)
         assert report.linear.strict
         assert report.counterexample_confirmed
@@ -185,7 +194,7 @@ class TestCounterexampleReport:
         assert report.bound_value == pytest.approx(0.9, abs=1e-9)
 
     def test_maximum_at_degree_one_closes_the_gap(self, swapped_model):
-        report = counterexample_report(swapped_model)
+        report = report_on_grid(swapped_model)
         assert abs(report.correlation.gap) <= 2e-3
         assert not report.counterexample_confirmed
         assert report.linear.strict
@@ -199,7 +208,7 @@ class TestCounterexampleReport:
         # a1 = rho_1 sd(X) / sd(Y) is 5e-11 on the first two, below 1e-10, but a1 b1 = rho_1^2;
         # on the third the degree-1 fits miss by ~6e-8, one ulp of a conditional mean near 5e8
         model = build_model(MarginalSpec("uniform", support_x), MarginalSpec("uniform", support_y), (0.05, 0.15))
-        report = counterexample_report(model)
+        report = report_on_grid(model)
         assert report.linear.a1 * report.linear.b1 == pytest.approx(0.05**2, rel=1e-9)
         assert report.linear.strict
         assert report.counterexample_confirmed
@@ -220,31 +229,31 @@ class TestCounterexampleReport:
             return tuple(fits)
 
         monkeypatch.setattr(regression, "check_polynomial_regression", one_fit_misses)
-        report = counterexample_report(ce_model)
+        report = report_on_grid(ce_model)
         assert report.linear.strict and report.gap_positive
         assert report.counterexample_confirmed is confirmed
 
     def test_trivial_regression_case(self, trivial_regression_model):
-        report = counterexample_report(trivial_regression_model)
+        report = report_on_grid(trivial_regression_model)
         assert not report.linear.strict
         assert not report.counterexample_confirmed
         assert report.correlation.maxcorr_svd == pytest.approx(0.15, abs=1e-3)
         assert report.correlation.pearson == pytest.approx(0.0, abs=1e-6)
 
     def test_independence_is_flagged_degenerate(self, independence_model):
-        report = counterexample_report(independence_model)
+        report = report_on_grid(independence_model)
         assert report.degenerate_comparison
         assert abs(report.correlation.gap) <= 2e-3
 
     def test_gap_characterization(self, uniform01):
         # the gap opens exactly when the coefficient maximum moves past degree 1
-        opening = counterexample_report(build_model(uniform01, uniform01, (0.02, 0.1)))
+        opening = report_on_grid(build_model(uniform01, uniform01, (0.02, 0.1)))
         assert opening.correlation.gap > 5e-3
-        closed = counterexample_report(build_model(uniform01, uniform01, (0.1, 0.02)))
+        closed = report_on_grid(build_model(uniform01, uniform01, (0.1, 0.02)))
         assert closed.correlation.gap < 2e-3
 
     def test_degree_checks_cover_the_sequence(self, ce_model):
-        report = counterexample_report(ce_model)
+        report = report_on_grid(ce_model)
         assert tuple(c.degree for c in report.degree_checks) == (1, 2)
         for checks in report.degree_checks:
             assert checks.eigen_x_given_y.max_residual <= 1e-8
@@ -257,7 +266,7 @@ class TestCounterexampleReport:
         values = tuple(v / 0.7 for v in (1.0, 1.0, 0.0, 0.0, 1.0, 1.0))
         gap_table = MarginalSpec("table", (0.0, 1.0), ((0.0, 0.3, 0.4, 0.6, 0.7, 1.0), values))
         model = build_model(gap_table, uniform01, (0.05, 0.1))
-        report = counterexample_report(transpose_model(model) if transposed else model)
+        report = report_on_grid(transpose_model(model) if transposed else model)
         assert report.counterexample_confirmed
         for checks in report.degree_checks:
             assert checks.eigen_x_given_y.max_residual <= 1e-8
@@ -343,7 +352,7 @@ class TestOneConditioningPassPerDirection:
 
         regression._conditioning_passes.cache_clear()
         monkeypatch.setattr(regression, "conditional_expectation", spy)
-        report = counterexample_report(deep_model)
+        report = report_on_grid(deep_model)
         assert len(calls) == 2
         assert calls[0] is deep_model
         assert calls[1].marginal_x is deep_model.marginal_y
@@ -351,7 +360,7 @@ class TestOneConditioningPassPerDirection:
 
     def test_a_report_s_linear_result_is_its_two_degree_one_fits(self, deep_model):
         regression._conditioning_passes.cache_clear()
-        report = counterexample_report(deep_model)
+        report = report_on_grid(deep_model)
         fit_x, fit_y = report.degree_checks[0].poly_x_given_y, report.degree_checks[0].poly_y_given_x
         assert report.linear == (
             fit_x.fitted_coeffs[1],

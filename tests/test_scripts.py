@@ -12,16 +12,35 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python -W error`` with the package next to these tests first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-W", "error", str(ROOT / "scripts" / name), *args],
+        [sys.executable, "-W", "error", *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return _run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_readme_quick_start_runs_and_prints_the_headline_numbers():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    result = _run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    pearson, r_svd, r_analytic, slopes, confirmed = result.stdout.splitlines()
+    assert float(pearson) == pytest.approx(0.05, abs=1e-6)
+    assert float(r_svd) == pytest.approx(0.15, abs=1e-3)
+    assert float(r_analytic) == pytest.approx(0.15, abs=1e-3)
+    assert [float(slope) for slope in slopes.split()] == pytest.approx([0.05, 0.05], abs=1e-6)
+    assert confirmed == "True"
 
 
 def test_reproduce_counterexample_confirms_the_headline_model():
