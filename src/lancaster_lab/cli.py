@@ -34,7 +34,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 from .correlation import (
@@ -115,14 +114,11 @@ def _fmt(value: float) -> str:
 
 
 def _write_atomic(path: str, chunks) -> None:
-    """Write text chunks to a temp file and rename it to path, with the mode open() would give."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lancaster-lab-")
+    """Write text chunks to a temp file and rename it to path; the kernel applies the umask as open() does."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".lancaster-lab-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            umask = os.umask(0)  # reading the umask means setting it; it is restored at once
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes the file 0600 whatever the umask
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -257,14 +257,15 @@ def build_model(
     marginal_x: MarginalSpec,
     marginal_y: MarginalSpec,
     rho: Sequence[float],
-    max_degree: int = _DEFAULT_MAX_DEGREE,
+    max_degree: int | None = None,
     quad_nodes: int = _DEFAULT_QUAD_NODES,
 ) -> LancasterModel:
     """Validate and assemble a model from marginals and a coefficient sequence.
 
-    A ``max_degree`` above 64 or below the coefficient count, a ``quad_nodes``
-    below 1, or a rule above 2048 nodes fails before anything is built; a
-    coefficient mass above the admissibility bound fails with
+    ``max_degree`` None is max(8, coefficient count), as in a config. No
+    coefficient, a ``max_degree`` above 64 or below the coefficient count, a
+    ``quad_nodes`` below 1, or a rule above 2048 nodes fails before anything
+    is built; a coefficient mass above the admissibility bound fails with
     BoundViolationError. The model is verified on a 256 x 256 grid
     (nonnegative density) and by tensor quadrature (total mass 1 within 1e-9).
     """
@@ -275,6 +276,10 @@ def build_model(
 
 def _build_model(marginal_x, marginal_y, count, coefficients, max_degree, quad_nodes) -> LancasterModel:
     """Every model is built here; ``coefficients(c, d)`` makes ``count`` of them from the sup norms."""
+    if count < 1:
+        raise ValueError("coefficient sequence must have length >= 1")
+    if max_degree is None:
+        max_degree = max(_DEFAULT_MAX_DEGREE, count)
     max_degree = _count(max_degree, "'max_degree'", 1, _MAX_DEGREE_LIMIT)
     quad_nodes = _count(quad_nodes, "'quad_nodes'", 1, _MAX_AXIS_NODES)
     if count > max_degree:
@@ -494,9 +499,9 @@ def model_from_config(cfg: dict) -> LancasterModel:
 
     Exactly one of ``rho`` (array of reals) or ``rho_builder``
     ({"type": "quadratic" | "linear", "N": int, "lambda": real for linear})
-    must be present; ``max_degree`` defaults to max(8, coefficient count),
-    and without it the coefficient count must be at most 64. Values of the
-    wrong JSON type raise ValueError: a number is an integer or a float
+    must be present; ``max_degree`` defaults to max(8, coefficient count), as
+    in ``build_model``, and without it the coefficient count must be at most
+    64. Values of the wrong JSON type raise ValueError: a number is an integer or a float
     (never a bool or a string), an array of numbers is an array, ``N``
     is an integer >= 1, read before anything is built, and a marginal's
     ``params`` is an object with exactly its kind's keys
@@ -533,14 +538,12 @@ def model_from_config(cfg: dict) -> LancasterModel:
             coefficients = functools.partial(build_sequence_linear, count=count, lam=lam)
         else:
             raise ValueError(f"unknown rho_builder type {builder['type']!r}")
-    if "max_degree" in cfg:
-        max_degree = cfg["max_degree"]
-    elif count > _MAX_DEGREE_LIMIT:
+    max_degree = cfg.get("max_degree")
+    if "max_degree" in cfg and max_degree is None:  # null is no number; only an absent key is the default
+        raise ValueError("'max_degree' must be an integer, got None")
+    if max_degree is None and count > _MAX_DEGREE_LIMIT:
         source = "'rho' length" if has_rho else "rho_builder 'N'"
         raise ValueError(f"model config {source} must be at most {_MAX_DEGREE_LIMIT}, got {count}")
-    else:
-        max_degree = max(_DEFAULT_MAX_DEGREE, count)
-
     quad_nodes = cfg.get("quad_nodes", _DEFAULT_QUAD_NODES)
     if has_rho:
         return build_model(marginal_x, marginal_y, rho, max_degree=max_degree, quad_nodes=quad_nodes)

@@ -62,9 +62,6 @@ class QuadratureRule:
         if abs(float(np.sum(weights / (b - a))) - 1.0) > 1e-12:
             raise ValueError("weights must sum to the interval length")
 
-    def __len__(self) -> int:
-        return self.nodes.size
-
 
 def _legendre_and_derivative(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Value and derivative of the degree-n Legendre polynomial on (-1, 1)."""

@@ -290,6 +290,14 @@ class TestOutputMode:
         for path in tmp_path.iterdir():
             assert stat.S_IMODE(path.stat().st_mode) == mode
 
+    def test_a_write_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        def no_umask(mask):
+            raise AssertionError("the process umask was set")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        cli._write_atomic(str(tmp_path / "out.csv"), ["a,b\n"])
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert (tmp_path / "out.csv").read_text() == "a,b\n"
 
     def test_a_failed_write_removes_its_temp_file_and_leaves_the_target(self, tmp_path):
         target = tmp_path / "out.csv"

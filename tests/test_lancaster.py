@@ -606,6 +606,16 @@ class TestModelConfig:
         )
         assert calls == ["uniform", "beta"]
 
+    @pytest.mark.parametrize("count", [9, 12, 64])
+    def test_the_default_max_degree_is_the_same_from_a_library_call_and_a_config(self, uniform01, count):
+        # c_n d_n = 2n + 1 for the uniform: a coefficient mass of 1/2
+        rho = [0.5 / (count * (2 * n + 1)) for n in range(1, count + 1)]
+        uniform = {"kind": "uniform", "support": [0, 1]}
+        cfg = {"marginal_x": uniform, "marginal_y": uniform, "rho": rho}
+        from_config = model_to_config(model_from_config(cfg))
+        assert from_config == model_to_config(build_model(uniform01, uniform01, rho))
+        assert from_config["max_degree"] == max(8, count)
+
     def test_beta_and_table_marginals_round_trip(self, beta23, triangle_table):
         model = build_model(beta23, triangle_table, (0.005,))
         reloaded = model_from_config(model_to_config(model))
@@ -635,6 +645,14 @@ class TestBuildModelValidation:
     def test_max_degree_must_cover_the_sequence(self, uniform01):
         with pytest.raises(ValueError, match="max_degree"):
             build_model(uniform01, uniform01, (0.01,) * 9, max_degree=8)
+
+    def test_no_coefficient_is_rejected_before_any_build(self, uniform01, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built for no coefficient")
+
+        monkeypatch.setattr(lancaster, "build_system", no_build)
+        with pytest.raises(ValueError, match=re.escape("coefficient sequence must have length >= 1")):
+            build_model(uniform01, uniform01, ())
 
     def test_bound_violation_propagates(self, uniform01):
         with pytest.raises(BoundViolationError):
@@ -900,8 +918,14 @@ COUNT_ENTRY_POINTS = {
     ),
 }
 
-# Entry points whose count defaults to None: the top degree, the fixture's default grid.
-NONE_MEANS_DEFAULT = {"evaluate_all", "monomial_coefficients", "fixture-joint", "model-fixture-joint"}
+# Entry points whose count defaults to None: the top degree, max(8, N), the fixture's default grid.
+NONE_MEANS_DEFAULT = {
+    "evaluate_all",
+    "monomial_coefficients",
+    "build_model-max_degree",
+    "fixture-joint",
+    "model-fixture-joint",
+}
 
 
 class TestIntegerCountsAtEveryEntryPoint:
