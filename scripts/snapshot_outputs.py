@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Write 42 CLI outputs of this checkout into OUTDIR, for byte comparisons.
+"""Write 44 CLI outputs of this checkout into OUTDIR, for byte comparisons.
 
 Usage: python3 scripts/snapshot_outputs.py OUTDIR
 
 The outputs are:
 
-- ``bench`` as csv and json;
-- ``maxcorr`` json for the disc, pball:1, fgm:0.2 and fourpoint fixtures
-  and for the fourth verify-models config of seed 1;
+- ``bench`` as csv and json, and as csv at 17 cells per axis, an odd count
+  whose middle cells straddle the axes;
+- ``maxcorr`` json for the disc, pball:1, pball:1.5, fgm:0.2 and fourpoint
+  fixtures and for the fourth verify-models config of seed 1;
 - a 20 000-draw ``sample`` of the headline model (seed 3) as csv and json;
 - a 20 000-draw ``sample`` csv (seed 3) of the third verify-models config of
   seed 1, table x beta(2, 2), whose inverse CDFs have many segments on both
@@ -39,7 +40,7 @@ import lancaster_lab  # noqa: E402
 from lancaster_lab.cli import main  # noqa: E402
 
 REPORT_SEEDS = (1, 2, 3, 7)
-MAXCORR_FIXTURES = ("disc", "pball:1", "fgm:0.2", "fourpoint")
+MAXCORR_FIXTURES = ("disc", "pball:1", "pball:1.5", "fgm:0.2", "fourpoint")
 MAXCORR_MODEL = (1, 3)  # (seed, slot): config (d), the degree-16 one
 SAMPLE_MODEL = (1, 2)  # (seed, slot): config (c), table x beta(2, 2)
 SAMPLE_COUNT = 20_000
@@ -81,6 +82,7 @@ def snapshot(outdir: str) -> None:
     with tempfile.TemporaryDirectory() as configs:
         for fmt in ("csv", "json"):
             _run(outdir, f"bench.{fmt}", "bench", "--format", fmt)
+        _run(outdir, "bench-grid17.csv", "bench", "--grid", "17")
         for name in MAXCORR_FIXTURES:
             tag = name.replace(":", "-")
             _run(outdir, f"maxcorr-{tag}.json", "maxcorr", "--fixture", name, "--format", "json")

@@ -395,7 +395,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_ARGS = {
     "--model": {"dest": "model_path", "metavar": "PATH", "help": "JSON model config file"},
     "--fixture": {"metavar": "NAME", "help": "built-in fixture name"},
-    "--grid": {"type": int, "help": "quadrature nodes per axis"},
+    "--grid": {"type": int, "help": "quadrature nodes per axis (cells per axis for disc and pball:p)"},
     "--tol": {"type": float, "help": "ACE convergence tolerance"},
     "--count": {"type": int, "help": "number of samples"},
     "--seed": {"type": int, "help": "sampler seed (64-bit)"},

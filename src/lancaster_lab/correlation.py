@@ -53,10 +53,10 @@ _ZERO_MASS = 1e-9
 # Variance of a constant, at most: an sd of 1e-12 on ACE's unit scale, below DEFAULT_ACE_TOL.
 _ZERO_VARIANCE = 1e-24
 
-# Default nodes per axis of a model and of a curved fixture; fixtures and
-# perfbench/run.py read them from here.
+# Default nodes per axis of a model, and cells per axis of a curved fixture;
+# fixtures and perfbench/run.py read them from here.
 DEFAULT_MODEL_GRID = 200
-DEFAULT_CURVED_GRID = 400
+DEFAULT_CURVED_GRID = 200
 # ACE stops when successive estimates move by at most this.
 DEFAULT_ACE_TOL = 1e-9
 # Nodes per axis of a discretization, at least; at most quadrature._MAX_AXIS_NODES.

@@ -325,6 +325,20 @@ class TestBench:
         assert float(rows["disc"][1]) == pytest.approx(0.0, abs=1e-4)
         assert float(rows["fgm:0.2"][3]) == pytest.approx(0.2, abs=1e-3)
 
+    def test_curved_rows_lie_just_below_their_closed_forms(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()[1:]
+        rows = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]] for line in lines}
+        for name in ("disc", "pball:1", "pball:2"):
+            _, analytic, svd, ace, _ = rows[name]
+            assert analytic - 1e-4 <= min(svd, ace) <= max(svd, ace) <= analytic + 1e-12, name
+
+    def test_maxcorr_of_a_general_exponent_lies_just_below_it(self, tmp_path):
+        out = tmp_path / "maxcorr.json"
+        assert main(["maxcorr", "--fixture", "pball:1.5", "--format", "json", "--out", str(out)]) == 0
+        assert 0.4 - 1e-4 <= json.loads(out.read_text())["R"] <= 0.4 + 1e-12
+
     def test_byte_identical_across_runs(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

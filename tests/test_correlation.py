@@ -20,7 +20,7 @@ from lancaster_lab.correlation import (
     pearson,
     singular_spectrum,
 )
-from lancaster_lab.fixtures import BENCH_FIXTURES, _pball_density, resolve_fixture
+from lancaster_lab.fixtures import BENCH_FIXTURES, resolve_fixture
 from lancaster_lab.lancaster import discretize_model, maxcorr_analytic
 from lancaster_lab.quadrature import gauss_legendre_rule
 from lancaster_lab.regression import counterexample_report
@@ -111,7 +111,7 @@ class TestDiscretizeJoint:
 
     @pytest.mark.parametrize(
         "density, drops",
-        [(_pball_density(1.0), True), (disc_density, False)],
+        [(diamond_density, True), (disc_density, False)],
         ids=["pball:1", "disc"],
     )
     def test_masses_match_the_index_grid_reference_bitwise(self, density, drops):

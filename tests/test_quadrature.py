@@ -142,7 +142,7 @@ class TestReferenceRuleCache:
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_bench_solves_each_node_count_once(self, tmp_path):
-        # bench builds rules of 128, 165, 200 and 400 nodes, most of them many times
+        # bench builds rules of 10 (the p-ball panels), 128, 165 and 200 nodes, most of them many times
         _reference_rule.cache_clear()
         assert cli.main(["bench", "--out", str(tmp_path / "bench.csv")]) == 0
         info = _reference_rule.cache_info()

@@ -61,10 +61,10 @@ def snapshots(tmp_path_factory):
     return runs
 
 
-def test_snapshot_outputs_writes_the_same_42_files_twice(snapshots):
+def test_snapshot_outputs_writes_the_same_44_files_twice(snapshots):
     contents = [{path.name: path.read_bytes() for path in run.iterdir()} for run in snapshots]
     for files in contents:
-        assert len(files) == 42 and all(files.values())
+        assert len(files) == 44 and all(files.values())
     assert contents[0] == contents[1]
 
 
@@ -72,7 +72,7 @@ def test_compare_snapshots_reports_only_an_edited_value(snapshots, tmp_path):
     first, second = snapshots
     result = _run_script("compare_snapshots.py", str(first), str(second))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["0 of 42 common files differ in bytes"]
+    assert result.stdout.splitlines() == ["0 of 44 common files differ in bytes"]
 
     edited = tmp_path / "edited"
     shutil.copytree(second, edited)
@@ -92,5 +92,5 @@ def test_compare_snapshots_reports_only_an_edited_value(snapshots, tmp_path):
         "bench.csv: fixture: 1 changed, largest change -",
         "report-seed1-model0.json: regressions[*].polynomial.x_given_y.fitted_coeffs[*]: 1 changed,"
         f" largest change {2.0**-40:.3g} ({2.0**-40 / scale:.3g} of its largest |value|)",
-        "2 of 42 common files differ in bytes",
+        "2 of 44 common files differ in bytes",
     ]
